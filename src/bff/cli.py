@@ -366,8 +366,13 @@ _NORMAL_DEFAULTS = {
 def _normal_auto_grid(data: NormalSummary, prior, ks) -> list:
     y, s = data.y, data.sigma
     if isinstance(prior, PointShiftPrior):
-        lo = min(y - 8.0 * s - prior.d, min(normal_closed_summaries(data, prior, k)[1].intervals[0].lower for k in ks))
-        return [lo, y + 8.0 * s + prior.d, 512]
+        # every k-support set is a half-line [start, inf): the grid must
+        # reach past each start, at either end
+        starts = [normal_closed_summaries(data, prior, k)[1].intervals[0].lower for k in ks]
+        hi = y + 8.0 * s + prior.d
+        if max(starts) >= hi:
+            hi = max(starts) + 8.0 * s + prior.d
+        return [min(y - 8.0 * s - prior.d, min(starts)), hi, 512]
     width = 8.0 * s
     for k in ks:
         _, ss = normal_closed_summaries(data, prior, k)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from scipy.special import gammaincc, gammaln, xlogy
 
 from .engine import BffModel, DensityFn, Interval, MeeResult, SupportSet
 from .errors import DomainError
-from .specfun import noncentral_chisq_cdf, normal_log_density
+from .specfun import normal_log_density
 
 __all__ = [
     "NormalSummary",
@@ -336,9 +337,15 @@ def bff_threshold_prob(
     """Pr(BF01(theta0) <= gamma) when the data mean is truly theta_star.
 
     The squared standardized mean is noncentral chi-squared with one
-    degree of freedom, so the probability is one minus its CDF at the
+    degree of freedom, so the probability is its upper tail beyond the
     cut point X implied by gamma.  X <= 0 means gamma exceeds the largest
     BF01 the model can produce, so the probability is 1.
+
+    The tail is summed directly as the Poisson(lam/2) mixture of central
+    chi-squared upper tails, whose terms are all positive, so a tail of
+    1e-28 keeps its relative accuracy (1 - CDF would lose it).  The terms
+    peak near j = lam/2 + sqrt(lam X)/2; j covers the Poisson bulk below
+    and that peak above, each with 9 standard deviations to spare.
     """
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
@@ -353,7 +360,11 @@ def bff_threshold_prob(
     )
     if x <= 0.0:
         return 1.0
-    p = 1.0 - noncentral_chisq_cdf(x, 1.0, lam)
+    mu = 0.5 * lam
+    peak = mu + math.sqrt(mu * 0.5 * x)
+    j = np.arange(max(0, int(mu - 9.0 * math.sqrt(mu) - 10.0)), int(peak + 9.0 * math.sqrt(peak) + 20.0))
+    log_w = xlogy(j, mu) - mu - gammaln(j + 1.0)
+    p = float(np.sum(np.exp(log_w) * gammaincc(j + 0.5, 0.5 * x)))
     return min(max(p, 0.0), 1.0)
 
 

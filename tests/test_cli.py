@@ -120,6 +120,26 @@ class TestNormal:
         kinds = {w.split(":")[0] for w in rec["warnings"]}
         assert {"boundary-mee", "unbounded-si-edge"} <= kinds
 
+    def test_point_prior_grid_reaches_far_support_set(self, tmp_path):
+        # the k=10 set is [11.41, inf), beyond y + 8 se + d = 8.2
+        args = ["normal", "--estimate", "0", "--se", "1", "--prior", "point:d=0.2",
+                "--k", "10", "--out", str(tmp_path)]
+        assert main(args) == 0
+        rec = _summary(tmp_path)
+        (ss,) = rec["support_sets"]
+        assert not ss["empty"]
+        (iv,) = ss["intervals"]
+        start = math.log(10.0) / 0.2 - 0.1  # ln BF01 = 0.2 theta0 + 0.02
+        assert iv["lower"] == pytest.approx(start, abs=1e-7)
+        assert iv["upper_unbounded"]
+        assert rec["config"]["grid"][1] > start
+
+    def test_point_prior_grid_unchanged_when_sets_start_inside(self, tmp_path):
+        args = ["normal", "--estimate", "0", "--se", "1", "--prior", "point:d=0.2",
+                "--k", "1,3", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert _summary(tmp_path)["config"]["grid"] == [-8.2, 8.2, 512]
+
     def test_sweep_writes_quoted_long_format(self, tmp_path):
         args = RECOVERY + ["--grid=-0.5,0.3,41", "--out", str(tmp_path),
                            "--sweep", "global:m=0,v=0.01;local:v=0.02"]
@@ -421,6 +441,22 @@ class TestSimulate:
         for n, t0, gamma, p in _rows(tmp_path / "bff_cdf.csv")[1:]:
             expected = bff_threshold_prob(float(gamma), float(t0), 0.2, 0.1, 0.8, 1.5, 25)
             assert float(p) == expected
+
+    def test_tiny_gamma_keeps_its_tail(self, tmp_path):
+        from scipy import stats
+
+        args = ["simulate", "--theta-star", "0", "--kappa2", "4", "--prior", "local:v=4",
+                "--theta0", "0.3", "--n-values", "200", "--gamma-grid", "1e-30,1e-3,5",
+                "--out", str(tmp_path)]
+        assert main(args) == 0
+        n, t0, gamma, p = _rows(tmp_path / "bff_cdf.csv")[1]
+        assert float(gamma) == pytest.approx(1e-30, rel=1e-12)
+        # local prior: m = theta0, so lam = n theta0^2 / kappa2 and the cut
+        # point is (ln(1 + n v / kappa2) - 2 ln gamma)(1 + kappa2 / (v n))
+        cut = (math.log1p(200.0) - 2.0 * math.log(float(gamma))) * (1.0 + 1.0 / 200.0)
+        want = float(stats.ncx2.sf(cut, 1, 200 * 0.09 / 4.0))
+        assert want == pytest.approx(2.4e-23, rel=0.01, abs=0.0)
+        assert float(p) == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_same_seed_same_bytes(self, tmp_path):
         outs = []

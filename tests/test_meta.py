@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, special, stats
 
 from bff import DomainError, GridSpec, find_mee
 from bff.meta import (
@@ -186,6 +186,79 @@ class TestScaleSensitivity:
         step_tau = (grid.upper[1] - grid.lower[1]) / (grid.points[1] - 1)
         assert abs(joint.theta_hat[0] - r["theta_mee"].theta_hat[0]) <= step_theta
         assert abs(joint.theta_hat[1] - r["tau_mee"].theta_hat[0]) <= step_tau
+
+
+def _oracle_log_integral(log_g, lo, hi):
+    """ln Int_lo^hi exp(log_g) by scipy's quad, shifted by the maximum;
+    log_g maps scalars to scalars and arrays elementwise.
+
+    The conditional peak is located on a dense scan refined by a bounded
+    minimizer and passed as a breakpoint, with a geometric ladder of
+    breakpoints either side so that quad resolves a peak of any width
+    (the tau-marginal integrands are 1e-4 of their interval wide)."""
+    xs = np.linspace(lo, hi, 4001)
+    i = int(np.argmax(log_g(xs)))
+    res = optimize.minimize_scalar(lambda x: -log_g(x), bounds=(xs[max(i - 1, 0)], xs[min(i + 1, 4000)]),
+                                   method="bounded", options={"xatol": 1e-14})
+    x_hat = float(res.x) if -res.fun > log_g(xs[i]) else float(xs[i])
+    top = log_g(x_hat)
+    ladder = x_hat + np.outer([-1.0, 1.0], (hi - lo) * 1e-9 * 2.0 ** np.arange(30)).ravel()
+    points = sorted(p for p in [x_hat, *ladder] if lo < p < hi)
+    val, _ = integrate.quad(lambda x: math.exp(log_g(x) - top), lo, hi, points=points,
+                            epsabs=0.0, epsrel=1e-12, limit=500)
+    return top + math.log(val)
+
+
+def _oracle_loglik(data, theta, tau):
+    theta, tau = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(tau, dtype=float))
+    sd = np.sqrt(data.std_errors[:, None] ** 2 + tau.reshape(1, -1) ** 2)
+    total = np.sum(stats.norm.logpdf(data.estimates[:, None], theta.reshape(1, -1), sd), axis=0)
+    return float(total[0]) if theta.ndim == 0 else total
+
+
+class TestBatchedMarginals:
+    """One batched quadrature per grid pass must give each point exactly
+    what a scalar call gives, and both must match an oracle that uses
+    scipy's quad instead of bff.quadrature."""
+
+    A, B, S = 5100.0, 4900.0, 0.02
+
+    @pytest.fixture(scope="class")
+    def coinflip(self):
+        from bff.binomial import TruncBetaPrior
+        from bff.datasets import load_coinflip_meta
+
+        data = load_coinflip_meta()
+        priors = MetaPriors(TruncBetaPrior(self.A, self.B, 0.5, 1.0), tau_scale=self.S)
+        # a zero denominator makes log_bff the log numerator itself
+        return (data, meta_marginal_theta_bff(data, priors, log_denominator=0.0),
+                meta_marginal_tau_bff(data, priors, log_denominator=0.0))
+
+    def test_theta_marginal(self, coinflip):
+        data, model, _ = coinflip
+        thetas = np.array([0.5, 0.503, 0.5065, 0.51, 0.515, 0.52])
+        batched = model.log_bff(thetas)
+        np.testing.assert_array_equal(batched, [model.log_bff(float(t)) for t in thetas])
+        s = self.S
+        for theta0, got in zip(thetas, batched):
+            def log_g(tau):
+                return (_oracle_loglik(data, theta0, tau) + 0.5 * math.log(2.0 / math.pi)
+                        - math.log(s) - tau**2 / (2.0 * s**2))
+
+            assert got == pytest.approx(_oracle_log_integral(log_g, 0.0, 10.0 * s), abs=1e-8)
+
+    def test_tau_marginal(self, coinflip):
+        data, _, model = coinflip
+        taus = np.array([0.0, 0.004, 0.01, 0.02, 0.035, 0.05])
+        batched = model.log_bff(taus)
+        np.testing.assert_array_equal(batched, [model.log_bff(float(t)) for t in taus])
+        log_mass = math.log(special.betainc(self.A, self.B, 1.0) - special.betainc(self.A, self.B, 0.5))
+        for tau0, got in zip(taus, batched):
+            def log_g(theta):
+                return (_oracle_loglik(data, theta, tau0)
+                        + stats.beta.logpdf(theta, self.A, self.B) - log_mass)
+
+            assert got == pytest.approx(_oracle_log_integral(log_g, 0.5, 1.0), abs=1e-8)
 
 
 class TestCsv:

@@ -298,6 +298,18 @@ class TestThresholdProb:
             )
             assert 0.0 <= p <= 1.0
 
+    @pytest.mark.parametrize("x, lam", [(60.0, 1.0), (100.0, 5.0), (200.0, 10.0)])
+    def test_small_upper_tail_matches_scipy_ncx2(self, x, lam):
+        # n = v = kappa2 = 1 and m = theta0 = 0 make the noncentrality
+        # theta_star^2 and the cut point 2 (ln 2 - 2 ln gamma); the tails
+        # here run from 1e-11 down to 2.4e-28, far below 1 - CDF's reach
+        gamma = math.exp(0.5 * (math.log(2.0) - 0.5 * x))
+        cut = (math.log1p(1.0) - 2.0 * math.log(gamma)) * 2.0
+        assert cut == pytest.approx(x, rel=1e-14)
+        want = float(stats.ncx2.sf(cut, 1, lam))
+        p = bff_threshold_prob(gamma, 0.0, math.sqrt(lam), 0.0, 1.0, 1.0, 1)
+        assert p == pytest.approx(want, rel=1e-10, abs=0.0)
+
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             bff_threshold_prob(0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 10)

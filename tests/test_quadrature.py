@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bff.errors import DomainError, NumericalError
-from bff.quadrature import integrate, log_integrate
+from bff.quadrature import integrate, log_integrate, log_integrate_many
 
 
 class TestIntegrate:
@@ -82,8 +84,8 @@ class TestLogIntegrate:
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_spike_missed_by_scan_is_recovered(self):
-        # peak width 1e-6 cannot be seen by the coarse scan; the golden
-        # refinement around the scan maximum must still locate it
+        # peak width 1e-6 cannot be seen by the coarse scan; the nested
+        # sub-scans around the scan maximum must still locate it
         s = 1e-6
         log_f = lambda x: -0.5 * ((x - 0.456789) / s) ** 2
         got = log_integrate(log_f, 0.0, 1.0, scan_points=33)
@@ -109,3 +111,87 @@ class TestLogIntegrate:
             got = log_integrate(log_f, mu - 30 * s, mu + 30 * s)
             want = shift + math.log(s * math.sqrt(2 * math.pi))
             assert got == pytest.approx(want, abs=1e-8)
+
+
+def _gaussian_rows(rows, a, b):
+    """Log integrand whose row r is c_r - (x - mu_r)^2 / (2 s_r^2), and
+    the closed-form log integrals over [a, b]."""
+    mu, s, c = (np.array(v, dtype=float) for v in zip(*rows))
+
+    def log_f(x, idx):
+        return c[idx, None] - 0.5 * ((x - mu[idx, None]) / s[idx, None]) ** 2
+
+    mass = [0.5 * (math.erf((b - m) / (w * math.sqrt(2.0))) - math.erf((a - m) / (w * math.sqrt(2.0))))
+            for m, w in zip(mu, s)]
+    want = c + np.log(s * math.sqrt(2.0 * math.pi)) + np.log(mass)
+    return log_f, want
+
+
+_ROW = st.tuples(
+    st.floats(0.0, 1.0),      # peak position within its admissible range
+    st.floats(-10.0, 0.0),    # log10 of the width as a fraction of the interval
+    st.floats(-600.0, 600.0),  # log height
+)
+
+
+class TestLogIntegrateMany:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(-2.0, 1.0),
+        st.lists(_ROW, min_size=1, max_size=8),
+    )
+    def test_mixed_width_gaussians_match_closed_form_and_scalar_calls(self, zero_at, log_span, rows):
+        # one call mixes peaks from 1e-10 of the interval to all of it:
+        # every row must meet its own tolerance, however narrow its peak.
+        # The origin sits at a random place in the interval and each peak
+        # lies within 1e6 of its widths of it, where doubles resolve the
+        # peak to 2e-10 of its width; farther out the sampled integrand is
+        # itself jagged (a 1e-10-wide peak at 0.5 carries ~1e-7 relative
+        # jitter from node rounding), which no quadrature rule can beat.
+        span = 10.0**log_span
+        a = -zero_at * span
+        b = a + span
+        params = []
+        for pos, lw, c in rows:
+            s = 10.0**lw * span
+            lo, hi = max(a, -1e6 * s), min(b, 1e6 * s)
+            params.append((lo + pos * (hi - lo), s, c))
+        log_f, want = _gaussian_rows(params, a, b)
+        got, rel = log_integrate_many(log_f, a, b, len(params))
+        assert got.shape == rel.shape == (len(params),)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-8)
+        assert np.all((rel >= 0.0) & (rel <= 1e-9))
+        for r, (m, w, c) in enumerate(params):
+            one = log_integrate(lambda x: c - 0.5 * ((x - m) / w) ** 2, a, b)
+            assert one == pytest.approx(got[r], abs=1e-9)
+
+    def test_rows_are_independent_of_their_batch(self):
+        params = [(0.3, 1e-9, 5.0), (0.7, 0.2, -40.0), (0.01, 1e-4, 800.0)]
+        log_f, _ = _gaussian_rows(params, 0.0, 1.0)
+        together, _ = log_integrate_many(log_f, 0.0, 1.0, 3)
+        for r in range(3):
+            alone, _ = log_integrate_many(lambda x, idx: log_f(x, idx * 0 + r), 0.0, 1.0, 1)
+            assert alone[0] == together[r]
+
+    def test_empty_row_gives_minus_inf_for_that_row_alone(self):
+        def log_f(x, idx):
+            return np.where(idx[:, None] == 1, -np.inf, -0.5 * (x - 0.5) ** 2)
+
+        got, _ = log_integrate_many(log_f, 0.0, 1.0, 3)
+        assert got[1] == -math.inf
+        want = math.log(math.sqrt(2 * math.pi) * math.erf(0.5 / math.sqrt(2.0)))
+        assert got[0] == got[2] == pytest.approx(want, abs=1e-10)
+
+    def test_nan_in_any_row_raises(self):
+        def log_f(x, idx):
+            return np.where((idx[:, None] == 2) & (x > 0.5), np.nan, -x)
+
+        with pytest.raises(NumericalError):
+            log_integrate_many(log_f, 0.0, 1.0, 4)
+
+    def test_shape_contract_and_zero_rows(self):
+        with pytest.raises(NumericalError):
+            log_integrate_many(lambda x, idx: np.zeros(x.shape[1]), 0.0, 1.0, 2)
+        got, rel = log_integrate_many(lambda x, idx: x, 0.0, 1.0, 0)
+        assert got.shape == rel.shape == (0,)
