@@ -31,10 +31,10 @@ from .engine import (
 )
 from .errors import ContractError, DomainError, NumericalError
 from .glm import (
+    MAX_SAMPLES,
     GlmPrior,
     fit_map,
     glm_coefficient_bff,
-    laplace_marginal_posterior,
     metropolis_sample,
     read_glm_csv,
 )
@@ -679,7 +679,7 @@ def _run_glm(args) -> int:
     n_samples = int(cfg["samples"])
 
     extra_warnings = []
-    samples = None
+    samples = fit = None
     if method == "mcmc":
         samples, info = metropolis_sample(dataset, prior, n_samples=n_samples, seed=seed)
         extra_warnings.extend(info["warnings"])
@@ -688,7 +688,6 @@ def _run_glm(args) -> int:
         auto = [float(np.min(samples[:, j])), float(np.max(samples[:, j])), 512]
     elif method == "laplace":
         fit = fit_map(dataset, prior)
-        dens = laplace_marginal_posterior(fit, j, dataset.names[j])
         center = float(fit.mode[j])
         cov = np.linalg.inv(fit.neg_hessian)
         spread = math.sqrt(float(cov[j, j]))
@@ -703,7 +702,7 @@ def _run_glm(args) -> int:
     grid = _grid_triplet(cfg["grid"], "grid") if cfg["grid"] else auto
     cfg["grid"] = grid
     model = glm_coefficient_bff(
-        dataset, prior, j, method, n_samples=n_samples, seed=seed, samples=samples
+        dataset, prior, j, method, n_samples=n_samples, seed=seed, samples=samples, fit=fit
     )
     gs = GridSpec.one_dim(grid[0], grid[1], grid[2])
     curve, mee, supports = _curve_and_summaries(model, gs, ks, _threads())
@@ -879,7 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--coef", help="coefficient (column) name to test")
     sp.add_argument("--method", choices=_METHODS)
     sp.add_argument("--prior-var", dest="prior_var", type=float, help="prior variance (default 0.5)")
-    sp.add_argument("--samples", type=int, help="MCMC draws for --method mcmc (default 200000)")
+    sp.add_argument("--samples", type=int,
+                    help=f"MCMC draws for --method mcmc (default 200000, at most {MAX_SAMPLES})")
     _add_common(sp, seed=True)
     sp.set_defaults(func=_run_glm)
 

@@ -1,9 +1,9 @@
 """Self-contained special functions, carried in log space.
 
-Everything downstream (beta-binomial evidence curves, noncentral
-chi-squared tail probabilities, normal and half-normal priors) reduces to
-the handful of functions here.  They are deterministic, scalar, and avoid
-ratio-scale intermediates so that arguments in the 1e5 range stay usable.
+Everything downstream (beta-binomial evidence curves, normal and
+half-normal priors) reduces to the handful of functions here.  They are
+deterministic, scalar, and avoid ratio-scale intermediates so that
+arguments in the 1e5 range stay usable.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "reg_inc_beta",
     "log_reg_inc_beta",
     "log_trunc_beta_mass",
-    "noncentral_chisq_cdf",
     "normal_log_density",
     "half_normal_log_density",
 ]
@@ -198,134 +197,6 @@ def _trunc_beta_mass_by_quadrature(
         return out
 
     return log_integrate(log_density, lower, upper) - log_beta(a, b)
-
-
-def _reg_lower_gamma(s: float, y: float) -> float:
-    """Regularized lower incomplete gamma P(s, y), series/fraction split."""
-    if not s > 0.0:
-        raise DomainError(f"incomplete gamma requires s > 0, got {s!r}")
-    if y < 0.0:
-        raise DomainError(f"incomplete gamma requires y >= 0, got {y!r}")
-    if y == 0.0:
-        return 0.0
-    log_front = s * math.log(y) - y - log_gamma(s)
-    if y < s + 1.0:
-        # ascending series for P
-        term = 1.0 / s
-        total = term
-        for k in range(1, 1_000_000):
-            term *= y / (s + k)
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        else:
-            raise NumericalError(
-                f"incomplete gamma series did not converge for s={s!r}, y={y!r}"
-            )
-        if log_front + math.log(total) < -745.0:
-            return 0.0
-        return math.exp(log_front + math.log(total))
-    # continued fraction for Q, modified Lentz scheme
-    tiny = 1e-300
-    big = 1.0 / tiny
-    fb = y + 1.0 - s
-    c = big
-    d = 1.0 / fb if abs(fb) >= tiny else 1.0 / tiny
-    h = d
-    for k in range(1, 1_000_000):
-        an = -k * (k - s)
-        fb += 2.0
-        d = an * d + fb
-        if abs(d) < tiny:
-            d = tiny
-        c = fb + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    else:
-        raise NumericalError(
-            f"incomplete gamma fraction did not converge for s={s!r}, y={y!r}"
-        )
-    q = math.exp(log_front + math.log(h)) if log_front + math.log(h) > -745.0 else 0.0
-    return 1.0 - q
-
-
-def noncentral_chisq_cdf(x: float, df: float, noncentrality: float) -> float:
-    """CDF of the noncentral chi-squared distribution.
-
-    Poisson mixture of central chi-squared CDFs, summed outward from the
-    Poisson mode so the dominant terms are accumulated first; the sweep in
-    each direction stops once terms fall below 1e-16 of the running sum.
-    """
-    if x < 0.0:
-        raise DomainError(f"noncentral chi-squared CDF requires x >= 0, got {x!r}")
-    if not df > 0.0:
-        raise DomainError(f"noncentral chi-squared CDF requires df > 0, got {df!r}")
-    if noncentrality < 0.0:
-        raise DomainError(
-            f"noncentral chi-squared CDF requires noncentrality >= 0, "
-            f"got {noncentrality!r}"
-        )
-    if x == 0.0:
-        return 0.0
-    y = 0.5 * x
-    if noncentrality == 0.0:
-        return _reg_lower_gamma(0.5 * df, y)
-
-    half_lam = 0.5 * noncentrality
-    j0 = int(half_lam)
-    s0 = 0.5 * df + j0
-
-    def pois_log_weight(j: int) -> float:
-        return j * math.log(half_lam) - half_lam - log_gamma(j + 1.0)
-
-    p0 = _reg_lower_gamma(s0, y)
-    lt0 = s0 * math.log(y) - y - log_gamma(s0 + 1.0)
-    t0 = math.exp(lt0) if lt0 > -745.0 else 0.0
-
-    total = math.exp(pois_log_weight(j0)) * p0
-
-    # upward sweep: P(s+1) = P(s) - t(s), t(s+1) = t(s) * y / (s+1)
-    w = math.exp(pois_log_weight(j0))
-    p = p0
-    t = t0
-    s = s0
-    j = j0
-    while True:
-        w *= half_lam / (j + 1.0)
-        p = min(max(p - t, 0.0), 1.0)
-        t *= y / (s + 1.0)
-        s += 1.0
-        j += 1
-        contrib = w * p
-        total += contrib
-        if contrib < 1e-16 * total or w < 1e-300:
-            break
-        if j > j0 + 10_000_000:
-            raise NumericalError("noncentral chi-squared sum failed to terminate")
-
-    # downward sweep: t(s-1) = t(s) * s / y, P(s-1) = P(s) + t(s-1)
-    w = math.exp(pois_log_weight(j0))
-    p = p0
-    t = t0
-    s = s0
-    j = j0
-    while j > 0:
-        w *= j / half_lam
-        t *= s / y
-        p = min(max(p + t, 0.0), 1.0)
-        s -= 1.0
-        j -= 1
-        contrib = w * p
-        total += contrib
-        if contrib < 1e-16 * total:
-            break
-
-    return min(max(total, 0.0), 1.0)
 
 
 def normal_log_density(x, mean, var):

@@ -7,6 +7,7 @@ written to --out are exercised exactly as a shell user sees them.
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,39 @@ class TestGlm:
                 "--method", "laplace", "--out", str(tmp_path)]
         assert main(args) == 2
         assert "flat prior" in _stderr_record(capsys, 2)["message"]
+
+    def test_huge_sample_count_refused_before_allocation(self, capsys, tmp_path):
+        args = ["glm", "--data", str(neonatal_births_path()), "--coef", "early_age",
+                "--method", "mcmc", "--samples", "1000000000000", "--out", str(tmp_path)]
+        tracemalloc.start()
+        try:
+            code = main(args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "between 100 and 2000000" in _stderr_record(capsys, 2)["message"]
+        # the table and its patterns, nothing of the size of the draws
+        assert peak < 20e6
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize("method", ["laplace", "univariate-normal"])
+    def test_one_fit_per_analysis(self, monkeypatch, tmp_path, method):
+        import bff.cli
+        import bff.glm
+
+        calls = []
+
+        def counted(data, prior):
+            calls.append(prior)
+            return fit_map(data, prior)
+
+        monkeypatch.setattr(bff.cli, "fit_map", counted)
+        monkeypatch.setattr(bff.glm, "fit_map", counted)
+        args = ["glm", "--data", str(neonatal_births_path()), "--coef", "anemia",
+                "--method", method, "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert len(calls) == 1
 
     def test_unknown_coefficient(self, capsys):
         assert main(["glm", "--data", str(neonatal_births_path()),

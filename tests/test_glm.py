@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy.special import expit
 
@@ -17,9 +19,13 @@ from bff import (
     find_mee,
     savage_dickey_bff,
 )
+import bff.glm as glm_module
 from bff.glm import (
+    MAX_SAMPLES,
     GlmDataset,
     GlmPrior,
+    _log_lik,
+    _score_and_information,
     fit_map,
     glm_coefficient_bff,
     kde_density,
@@ -50,6 +56,129 @@ def _batch_se(chain, n_batches=30):
 
 WELL = _synthetic(2000, [-1.2, 0.6, -0.4], seed=314)
 PRIOR = GlmPrior(coef_variance=0.5)
+
+
+def _repeated_rows(seed, distinct, n, p):
+    """n observations over `distinct` covariate rows, each used at least once."""
+    rng = np.random.default_rng(seed)
+    base = np.hstack([np.ones((distinct, 1)), rng.standard_normal((distinct, p - 1))])
+    idx = rng.permutation(np.r_[np.arange(distinct), rng.integers(0, distinct, n - distinct)])
+    y = (rng.uniform(size=n) < 0.4).astype(float)
+    names = ("intercept", *(f"x{j}" for j in range(1, p)))
+    return GlmDataset(base[idx], y, names), rng
+
+
+def _full_design_terms(x, y, beta):
+    """Log likelihood, gradient and negative Hessian summed row by row, each
+    with the sum of the absolute values of its terms (the yardstick for
+    rounding in a reordered sum)."""
+    eta = x @ beta
+    soft = np.logaddexp(0.0, eta)
+    mu = expit(eta)
+    w = mu * (1.0 - mu)
+    ax = np.abs(x)
+    return (
+        (float(y @ eta - np.sum(soft)), float(np.abs(y) @ np.abs(eta) + np.sum(soft))),
+        (x.T @ (y - mu), ax.T @ (y + mu)),
+        (x.T @ (x * w[:, None]), ax.T @ (ax * w[:, None])),
+    )
+
+
+def _reference_metropolis(x, y, prec, fit, n_samples, seed):
+    """The random-walk sampler of `metropolis_sample`, with its log
+    likelihood summed over the rows of the full design.  Returns the
+    draws, the accept flag of every step and the final proposal scale."""
+    d = x.shape[1]
+    chol = np.linalg.cholesky(np.linalg.inv(fit.neg_hessian) * (2.38**2 / d))
+
+    def log_post(b):
+        eta = x @ b
+        return float(y @ eta - np.sum(np.logaddexp(0.0, eta))) - 0.5 * float(prec @ b**2)
+
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((n_samples, d))
+    log_unifs = np.log(rng.uniform(size=n_samples))
+    burn = n_samples // 10
+    scale, beta = 1.0, fit.mode.copy()
+    lp = log_post(beta)
+    out = np.empty((n_samples, d))
+    accepted = np.zeros(n_samples, dtype=bool)
+    for t in range(n_samples):
+        prop = beta + scale * (chol @ normals[t])
+        lp_prop = log_post(prop)
+        if log_unifs[t] < lp_prop - lp:
+            beta, lp = prop, lp_prop
+            accepted[t] = True
+        out[t] = beta
+        if t < burn and (t + 1) % 100 == 0:
+            scale *= math.exp(np.count_nonzero(accepted[t - 99 : t + 1]) / 100.0 - 0.234)
+    return out, accepted, scale
+
+
+class TestSufficientStatistics:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),           # columns, intercept included
+        st.integers(0, 20),          # distinct rows beyond the column count
+        st.integers(0, 150),         # repeated rows
+        st.floats(0.01, 4.0),        # coefficient scale
+    )
+    def test_pattern_terms_match_full_design(self, seed, p, extra, repeats, beta_scale):
+        distinct = p + extra
+        data, rng = _repeated_rows(seed, distinct, distinct + repeats, p)
+        assert data.patterns.shape == (distinct, p)
+        assert data.trials.sum() == data.n
+        assert data.successes.sum() == data.outcome.sum()
+        beta = rng.standard_normal(p) * beta_scale
+        (ll, ll_scale), (grad, grad_scale), (info, info_scale) = _full_design_terms(
+            data.design, data.outcome, beta
+        )
+        got_grad, got_info = _score_and_information(data, beta)
+        assert abs(_log_lik(data, beta) - ll) <= 1e-12 * ll_scale
+        assert np.all(np.abs(got_grad - grad) <= 1e-12 * grad_scale)
+        assert np.all(np.abs(got_info - info) <= 1e-12 * info_scale)
+
+    def test_bundled_dataset_patterns(self):
+        from bff.datasets import load_neonatal_births
+
+        data = load_neonatal_births()
+        assert data.patterns.shape == (288, 15)
+        assert data.trials.sum() == data.n == 2992
+        assert data.successes.sum() == data.outcome.sum() == 17
+        assert np.all(data.successes <= data.trials)
+        # the patterns are exactly the distinct design rows
+        rows = {tuple(r) for r in data.design}
+        assert len(rows) == 288
+        assert rows == {tuple(r) for r in data.patterns}
+
+    def test_fit_map_solves_the_full_design_equations(self):
+        data, _ = _repeated_rows(8, 12, 400, 4)
+        prec = PRIOR.precisions(data.p)
+        fit = fit_map(data, PRIOR)
+        _, (grad, grad_scale), (info, info_scale) = _full_design_terms(
+            data.design, data.outcome, fit.mode
+        )
+        assert np.max(np.abs(grad - prec * fit.mode)) < 1e-8
+        assert np.all(np.abs(fit.neg_hessian - (info + np.diag(prec))) <= 1e-12 * info_scale)
+
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_metropolis_matches_full_design_sampler(self, seed):
+        data, _ = _repeated_rows(seed, 10, 300, 3)
+        n_samples = 3000
+        fit = fit_map(data, PRIOR)
+        want, accepted, want_scale = _reference_metropolis(
+            data.design, data.outcome, PRIOR.precisions(data.p), fit, n_samples, seed
+        )
+        got, info = metropolis_sample(data, PRIOR, n_samples=n_samples, seed=seed)
+        burn = n_samples // 10
+        assert np.max(np.abs(got - want[burn:])) <= 1e-10
+        # identical accept decisions: every burn-in block (through the
+        # adapted scale), the post-burn-in count, and each later step
+        assert info["proposal_scale"] == want_scale
+        assert info["acceptance_rate"] == np.count_nonzero(accepted[burn:]) / (n_samples - burn)
+        moved = np.any(got[1:] != got[:-1], axis=1)
+        assert np.array_equal(moved, accepted[burn + 1 :])
 
 
 class TestFitMap:
@@ -159,6 +288,8 @@ class TestMetropolis:
     def test_sample_count_validation(self):
         with pytest.raises(DomainError):
             metropolis_sample(WELL, PRIOR, n_samples=50, seed=1)
+        with pytest.raises(DomainError, match=str(MAX_SAMPLES)):
+            metropolis_sample(WELL, PRIOR, n_samples=MAX_SAMPLES + 1, seed=1)
 
 
 class TestKde:
@@ -238,6 +369,20 @@ class TestCoefficientBff:
         h = float(kde.descriptor.split("h=")[1].rstrip(")"))
         assert abs(mees["full"] - mees["half"]) < h
 
+    @pytest.mark.parametrize("method,prior", [("laplace", PRIOR), ("univariate-normal", None)])
+    def test_supplied_fit_is_used(self, monkeypatch, method, prior):
+        want = glm_coefficient_bff(WELL, PRIOR, 1, method=method)
+        fit = fit_map(WELL, prior)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_map called although a fit was supplied")
+
+        monkeypatch.setattr(glm_module, "fit_map", refuse)
+        got = glm_coefficient_bff(WELL, PRIOR, 1, method=method, fit=fit)
+        assert got.descriptor == want.descriptor == f"logistic[x1] via {method}"
+        xs = np.linspace(-0.5, 1.5, 41)
+        assert np.array_equal(got.log_bff(xs), want.log_bff(xs))
+
     def test_savage_dickey_identity_for_laplace_path(self):
         fit = fit_map(WELL, PRIOR)
         post = laplace_marginal_posterior(fit, 2)
@@ -272,6 +417,60 @@ class TestCsv:
         p.write_text("outcome,age\n1,0.5\n0,oops\n", encoding="utf-8")
         with pytest.raises(DomainError, match=":3"):
             read_glm_csv(p)
+
+    def test_column_count_mismatch_located(self, tmp_path):
+        p = tmp_path / "obs.csv"
+        p.write_text("outcome,age,weight\n1,0.5,-0.2\n0,1.0\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=r"obs\.csv:3: expected 3 columns, got 2$"):
+            read_glm_csv(p)
+        # every row one column too wide: the array parse succeeds, the
+        # header check still names the first data line
+        p.write_text("outcome,age\n1,0.5,7\n0,1.0,8\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=r"obs\.csv:2: expected 2 columns, got 3$"):
+            read_glm_csv(p)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "obs.csv"
+        p.write_text(
+            "age,outcome,weight\n\n1.5,1,-0.2\n   \n,,\n-0.5,0,0.1\r\n2.0,0,0.25\n\n",
+            encoding="utf-8",
+        )
+        data = read_glm_csv(p)
+        assert data.names == ("intercept", "age", "weight")
+        assert np.array_equal(data.outcome, [1.0, 0.0, 0.0])
+        assert np.array_equal(data.design, [[1, 1.5, -0.2], [1, -0.5, 0.1], [1, 2.0, 0.25]])
+        p.write_text("outcome,age\n\n , \n", encoding="utf-8")
+        with pytest.raises(DomainError, match="no data rows"):
+            read_glm_csv(p)
+        p.write_text("outcome,age\n1,0.5\n\n0,oops\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=r":4: non-numeric value"):
+            read_glm_csv(p)
+
+    def test_byte_order_mark_and_empty_file(self, tmp_path):
+        p = tmp_path / "obs.csv"
+        p.write_bytes(b"\xef\xbb\xbfoutcome,age\r\n1,0.5\r\n0,-1.5\r\n")
+        data = read_glm_csv(p)
+        assert data.names == ("intercept", "age")
+        assert np.array_equal(data.design[:, 1], [0.5, -1.5])
+        p.write_bytes(b"\xef\xbb\xbf")
+        with pytest.raises(DomainError, match=r"obs\.csv: empty file$"):
+            read_glm_csv(p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60), st.integers(1, 17))
+    def test_values_match_python_float(self, tmp_path_factory, values, digits):
+        # repr round-trips exactly; the %g forms need correct rounding
+        cells = [repr(v) if i % 2 else f"{v:.{digits}g}" for i, v in enumerate(values)]
+        # three fixed rows keep the design of full rank whatever was drawn
+        lines = ["a,outcome,b", "0,0,1", "1,1,0", "0,0,0"] + [
+            f"{cells[i]},{i % 2},{cells[i + 1]}" for i in range(0, len(cells) - 1, 2)
+        ]
+        p = tmp_path_factory.mktemp("csv") / "obs.csv"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
+        want = np.array([[1.0, r[0], r[2]] for r in want])
+        got = read_glm_csv(p).design
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_bundled_dataset_shape(self):
         from bff.datasets import load_neonatal_births

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-import scipy.stats
 
 from bff.errors import DomainError
 from bff.specfun import (
@@ -14,7 +13,6 @@ from bff.specfun import (
     log_gamma,
     log_reg_inc_beta,
     log_trunc_beta_mass,
-    noncentral_chisq_cdf,
     normal_log_density,
     reg_inc_beta,
 )
@@ -193,43 +191,6 @@ class TestLogTruncBetaMass:
             log_trunc_beta_mass(2.0, 2.0, -0.1, 1.0)
 
 
-class TestNoncentralChisqCdf:
-    def test_zero_point(self):
-        assert noncentral_chisq_cdf(0.0, 1.0, 5.0) == 0.0
-
-    def test_central_quantile(self):
-        assert noncentral_chisq_cdf(3.841459, 1.0, 0.0) == pytest.approx(
-            0.95, abs=1e-6
-        )
-
-    def test_huge_noncentrality_left_tail(self):
-        assert noncentral_chisq_cdf(100.0, 1.0, 1000.0) < 1e-6
-
-    def test_matches_central_chi2_at_zero_lambda(self):
-        for x in np.linspace(0.0, 50.0, 26):
-            want = scipy.stats.chi2.cdf(x, 1)
-            assert noncentral_chisq_cdf(float(x), 1.0, 0.0) == pytest.approx(
-                want, abs=1e-10
-            )
-
-    def test_against_scipy_randomized(self):
-        rng = np.random.default_rng(18)
-        for _ in range(60):
-            df = rng.uniform(0.5, 10.0)
-            lam = rng.uniform(0.0, 400.0)
-            x = rng.uniform(0.0, lam + 10 * df + 50.0)
-            want = scipy.stats.ncx2.cdf(x, df, lam) if lam > 0 else scipy.stats.chi2.cdf(x, df)
-            assert noncentral_chisq_cdf(float(x), float(df), float(lam)) == pytest.approx(
-                want, abs=1e-9
-            )
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            noncentral_chisq_cdf(-1.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            noncentral_chisq_cdf(1.0, 1.0, -0.5)
-
-
 class TestNormalLogDensity:
     def test_standard_at_zero(self):
         assert normal_log_density(0.0, 0.0, 1.0) == pytest.approx(
@@ -277,7 +238,6 @@ def test_determinism_bit_identical():
         lambda: log_gamma(123.456),
         lambda: reg_inc_beta(0.37, 41.5, 17.25),
         lambda: log_trunc_beta_mass(5100.0, 4900.0, 0.5, 1.0),
-        lambda: noncentral_chisq_cdf(12.5, 1.0, 9.75),
     ]
     for call in calls:
         assert call() == call()
