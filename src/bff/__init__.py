@@ -9,6 +9,7 @@ from .engine import (
     Interval,
     MeeResult,
     SupportSet,
+    analyze,
     combine_sequential,
     evaluate_curve,
     find_mee,
@@ -32,6 +33,7 @@ __all__ = [
     "Interval",
     "MeeResult",
     "SupportSet",
+    "analyze",
     "combine_sequential",
     "evaluate_curve",
     "find_mee",

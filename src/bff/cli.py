@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from decimal import ROUND_HALF_UP, Decimal
@@ -22,13 +23,7 @@ import numpy as np
 
 from . import __version__
 from .binomial import BinomialData, TruncBetaPrior, binomial_bff
-from .engine import (
-    GridSpec,
-    evaluate_curve,
-    find_mee,
-    support_region,
-    support_set,
-)
+from .engine import MAX_GRID_POINTS, GridSpec, analyze, evaluate_curve
 from .errors import ContractError, DomainError, NumericalError
 from .glm import (
     MAX_SAMPLES,
@@ -62,6 +57,8 @@ from .normal import (
 
 _MODES = ("joint", "theta", "tau")
 _METHODS = ("laplace", "mcmc", "univariate-normal")
+# simulate --mc draws at most this many values per (n, theta0) pair at once
+MAX_MC = 10_000_000
 
 
 class _CliError(DomainError):
@@ -69,6 +66,12 @@ class _CliError(DomainError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-05" or "-9,9,301" as an unknown option; no bff
+        # option starts with "-<digit>" or "-.<digit>", so such a token is a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse's default error handler prints multi-line usage; the CLI
     # contract wants one machine-parsable line on stderr instead
     def error(self, message):
@@ -161,19 +164,6 @@ def _str_list(val):
     if isinstance(val, (list, tuple)):
         return [str(v) for v in val]
     return [p.strip() for p in str(val).split(";") if p.strip()]
-
-
-def _threads() -> int:
-    raw = os.environ.get("BFF_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        n = int(raw)
-    except ValueError:
-        raise DomainError(f"BFF_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise DomainError(f"BFF_THREADS must be >= 1, got {n}")
-    return n
 
 
 # ---------------------------------------------------------------- output
@@ -382,13 +372,6 @@ def _normal_auto_grid(data: NormalSummary, prior, ks) -> list:
     return [y - width, y + width, 512]
 
 
-def _curve_and_summaries(model, grid_spec, ks, threads):
-    curve = evaluate_curve(model, grid_spec, threads=threads)
-    mee = find_mee(model, grid_spec)
-    supports = [support_set(model, k, grid_spec) for k in ks]
-    return curve, mee, supports
-
-
 def _run_normal(args) -> int:
     cfg = _build_config(args, _NORMAL_DEFAULTS)
     _require(cfg, "estimate", "se", "prior")
@@ -404,7 +387,7 @@ def _run_normal(args) -> int:
 
     model = normal_bff(data, prior)
     gs = GridSpec.one_dim(grid[0], grid[1], grid[2])
-    curve, mee, supports = _curve_and_summaries(model, gs, ks, _threads())
+    curve, mee, supports = analyze(model, gs, ks)
     out = _out_paths(cfg)
     _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=False)
     _write_summary(
@@ -419,7 +402,7 @@ def _run_normal(args) -> int:
         blocks = []
         for spec in cfg["sweep"]:
             p = parse_prior_spec(spec)
-            blocks.append((p.describe(), evaluate_curve(normal_bff(data, p), gs, threads=_threads())))
+            blocks.append((p.describe(), evaluate_curve(normal_bff(data, p), gs)))
         _write_sensitivity(os.path.join(out, "sensitivity.csv"), blocks, two_dim=False)
     return 0
 
@@ -453,7 +436,7 @@ def _run_binomial(args) -> int:
 
     model = binomial_bff(data, prior)
     gs = GridSpec.one_dim(grid[0], grid[1], grid[2])
-    curve, mee, supports = _curve_and_summaries(model, gs, ks, _threads())
+    curve, mee, supports = analyze(model, gs, ks)
     out = _out_paths(cfg)
     _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=False)
     _write_summary(
@@ -470,7 +453,7 @@ def _run_binomial(args) -> int:
             p = parse_prior_spec(spec)
             if not isinstance(p, TruncBetaPrior):
                 raise DomainError("binomial sweep priors must be truncbeta")
-            blocks.append((p.describe(), evaluate_curve(binomial_bff(data, p), gs, threads=_threads())))
+            blocks.append((p.describe(), evaluate_curve(binomial_bff(data, p), gs)))
         _write_sensitivity(os.path.join(out, "sensitivity.csv"), blocks, two_dim=False)
     return 0
 
@@ -524,76 +507,54 @@ def _run_meta(args) -> int:
     tau_grid = _grid_triplet(cfg["tau_grid"], "tau-grid") if cfg["tau_grid"] else [auto_tau[0], auto_tau[1], n_default]
     cfg["theta_grid"], cfg["tau_grid"] = theta_grid, tau_grid
 
-    log_denom = meta_log_denominator(dataset, priors)
-    out = _out_paths(cfg)
-    extra = {"log_denominator": log_denom, "mode": mode}
-
     if mode == "joint":
-        model = meta_joint_bff(dataset, priors, log_denominator=log_denom)
         gs = GridSpec.two_dim(
             (theta_grid[0], tau_grid[0]), (theta_grid[1], tau_grid[1]),
             (theta_grid[2], tau_grid[2]),
         )
-        curve = evaluate_curve(model, gs, threads=_threads())
-        mee = find_mee(model, gs)
-        regions = []
-        for k in ks:
-            mask, segments = support_region(model, k, gs)
-            regions.append(
-                {
-                    "k": k,
-                    "label": _k_label(k),
-                    "cells_inside": int(mask.sum()),
-                    "contour_segments": [
-                        [[float(a), float(b)], [float(c), float(d)]]
-                        for (a, b), (c, d) in segments
-                    ],
-                }
-            )
-        _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=True)
-        _write_summary(
-            os.path.join(out, "summary.json"),
-            model.descriptor,
-            mee,
-            [],
-            _collect_warnings(curve, mee),
-            _echo("meta", cfg),
-            extra={**extra, "support_regions": regions},
-        )
-        two_dim = True
-        grid_for_sweep = gs
-        builder = lambda p: meta_joint_bff(dataset, p)
+        build = meta_joint_bff
+    elif mode == "theta":
+        gs = GridSpec.one_dim(theta_grid[0], theta_grid[1], theta_grid[2])
+        build = meta_marginal_theta_bff
     else:
-        if mode == "theta":
-            model = meta_marginal_theta_bff(dataset, priors, log_denominator=log_denom)
-            gs = GridSpec.one_dim(theta_grid[0], theta_grid[1], theta_grid[2])
-            builder = lambda p: meta_marginal_theta_bff(dataset, p)
-        else:
-            model = meta_marginal_tau_bff(dataset, priors, log_denominator=log_denom)
-            gs = GridSpec.one_dim(tau_grid[0], tau_grid[1], tau_grid[2])
-            builder = lambda p: meta_marginal_tau_bff(dataset, p)
-        curve, mee, supports = _curve_and_summaries(model, gs, ks, _threads())
-        _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=False)
-        _write_summary(
-            os.path.join(out, "summary.json"),
-            model.descriptor,
-            mee,
-            supports,
-            _collect_warnings(curve, mee, supports),
-            _echo("meta", cfg),
-            extra=extra,
-        )
-        two_dim = False
-        grid_for_sweep = gs
+        gs = GridSpec.one_dim(tau_grid[0], tau_grid[1], tau_grid[2])
+        build = meta_marginal_tau_bff
 
+    log_denom = meta_log_denominator(dataset, priors)
+    out = _out_paths(cfg)
+    extra = {"log_denominator": log_denom, "mode": mode}
+    model = build(dataset, priors, log_denominator=log_denom)
+    curve, mee, supports = analyze(model, gs, ks)
+    if mode == "joint":
+        extra["support_regions"] = [
+            {
+                "k": k,
+                "label": _k_label(k),
+                "cells_inside": int(mask.sum()),
+                "contour_segments": [
+                    [[float(a), float(b)], [float(c), float(d)]]
+                    for (a, b), (c, d) in segments
+                ],
+            }
+            for k, (mask, segments) in zip(ks, supports)
+        ]
+        supports = []
+    _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=mode == "joint")
+    _write_summary(
+        os.path.join(out, "summary.json"),
+        model.descriptor,
+        mee,
+        supports,
+        _collect_warnings(curve, mee, supports),
+        _echo("meta", cfg),
+        extra=extra,
+    )
     if sweep:
-        blocks = []
-        for s in sweep:
-            p = MetaPriors(theta_prior, s)
-            blocks.append(
-                (f"tau-scale={s:g}", evaluate_curve(builder(p), grid_for_sweep, threads=_threads()))
-            )
-        _write_sensitivity(os.path.join(out, "sensitivity.csv"), blocks, two_dim=two_dim)
+        blocks = [
+            (f"tau-scale={s:g}", evaluate_curve(build(dataset, MetaPriors(theta_prior, s)), gs))
+            for s in sweep
+        ]
+        _write_sensitivity(os.path.join(out, "sensitivity.csv"), blocks, two_dim=mode == "joint")
     return 0
 
 
@@ -623,7 +584,7 @@ def _run_replication(args) -> int:
 
     model = replication_bff(pair)
     gs = GridSpec.one_dim(grid[0], grid[1], grid[2])
-    curve, mee, supports = _curve_and_summaries(model, gs, ks, _threads())
+    curve, mee, supports = analyze(model, gs, ks)
     mode, hpd = replication_posterior_hpd(pair)
     out = _out_paths(cfg)
     _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=False)
@@ -705,7 +666,7 @@ def _run_glm(args) -> int:
         dataset, prior, j, method, n_samples=n_samples, seed=seed, samples=samples, fit=fit
     )
     gs = GridSpec.one_dim(grid[0], grid[1], grid[2])
-    curve, mee, supports = _curve_and_summaries(model, gs, ks, _threads())
+    curve, mee, supports = analyze(model, gs, ks)
 
     or_block = None
     if mee.exists:
@@ -774,10 +735,12 @@ def _run_simulate(args) -> int:
     if any(n < 1 for n in n_values):
         raise DomainError("n values must be positive integers")
     g_lo, g_hi, g_n = _grid_triplet(cfg["gamma_grid"], "gamma-grid")
-    if not (0.0 < g_lo < g_hi) or g_n < 2:
-        raise DomainError("gamma grid needs 0 < lo < hi and at least 2 points")
-    gammas = np.exp(np.linspace(math.log(g_lo), math.log(g_hi), g_n))
+    if not (0.0 < g_lo < g_hi) or not 2 <= g_n <= MAX_GRID_POINTS:
+        raise DomainError(f"gamma grid needs 0 < lo < hi and 2 to {MAX_GRID_POINTS} points")
     mc = int(cfg["mc"])
+    if mc > MAX_MC:
+        raise DomainError(f"--mc {mc} exceeds the cap of {MAX_MC} draws")
+    gammas = np.exp(np.linspace(math.log(g_lo), math.log(g_hi), g_n))
     seed = int(cfg["seed"])
     cfg.update({"theta0": theta0s, "n_values": n_values, "gamma_grid": [g_lo, g_hi, g_n]})
 
@@ -828,7 +791,7 @@ def _add_common(sp, *, k=True, grid=True, sweep=False, seed=False):
     if k:
         sp.add_argument("--k", help="comma-separated support levels (default 1)")
     if grid:
-        sp.add_argument("--grid", help="evaluation grid 'lo,hi,points' (use --grid=... when lo is negative)")
+        sp.add_argument("--grid", help=f"evaluation grid 'lo,hi,points' (at most {MAX_GRID_POINTS} points)")
     if sweep:
         sp.add_argument("--sweep", help="semicolon-separated prior specs for sensitivity.csv")
     if seed:
@@ -859,8 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-prior", dest="theta_prior", help="truncbeta:.. or global:m=..,v=..")
     sp.add_argument("--tau-scale", dest="tau_scale", type=float, help="half-normal scale (default 0.02)")
     sp.add_argument("--mode", choices=_MODES, help="joint (2-D), theta or tau (default joint)")
-    sp.add_argument("--theta-grid", dest="theta_grid", help="'lo,hi,points'")
-    sp.add_argument("--tau-grid", dest="tau_grid", help="'lo,hi,points'")
+    grid_cap = f"; the grid has at most {MAX_GRID_POINTS} points"
+    sp.add_argument("--theta-grid", dest="theta_grid", help="'lo,hi,points'" + grid_cap)
+    sp.add_argument("--tau-grid", dest="tau_grid", help="'lo,hi,points'" + grid_cap)
     sp.add_argument("--sweep", help="comma-separated tau scales for sensitivity.csv")
     _add_common(sp, grid=False)
     sp.set_defaults(func=_run_meta)
@@ -889,8 +853,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prior", help="local:v=.. or global:m=..,v=..")
     sp.add_argument("--theta0", help="comma-separated tested values (default 0)")
     sp.add_argument("--n-values", dest="n_values", help="comma-separated sample sizes (default 10,50,200)")
-    sp.add_argument("--gamma-grid", dest="gamma_grid", help="'lo,hi,points', log-spaced (default 0.001,20,61)")
-    sp.add_argument("--mc", type=int, help="Monte Carlo draws for an empirical column (default off)")
+    sp.add_argument("--gamma-grid", dest="gamma_grid", help=f"'lo,hi,points', log-spaced (default 0.001,20,61, at most {MAX_GRID_POINTS} points)")
+    sp.add_argument("--mc", type=int,
+                    help=f"Monte Carlo draws for an empirical column (default off, at most {MAX_MC})")
     _add_common(sp, k=False, grid=False, seed=True)
     sp.set_defaults(func=_run_simulate)
 

@@ -7,12 +7,18 @@ only in returned summaries.  Three consumers are served: curve
 evaluation over grids, the maximum evidence estimate (the theta0 best
 supported by the data, with its evidence level k_ME), and support sets
 S_k = {theta0 : BF01(theta0) >= k} obtained by cutting the curve at k.
+
+`analyze` evaluates a grid once, in one model call, and reads the MEE
+and the support sets of every level off that curve; `find_mee`,
+`support_set` and `support_region` are one-summary views of it.  Models
+are vectorized: a 1-D `log_bff` maps an array of theta0 values to one
+value each, and a 2-D one maps a (2, N) array (rows theta0 and tau0) to
+N values.  Refinement calls the model on scalars or single points too.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -28,6 +34,8 @@ __all__ = [
     "MeeResult",
     "Interval",
     "SupportSet",
+    "MAX_GRID_POINTS",
+    "analyze",
     "evaluate_curve",
     "find_mee",
     "support_set",
@@ -40,6 +48,10 @@ __all__ = [
 ]
 
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+# largest grid (points over all dimensions) a GridSpec accepts: a curve
+# of this size is 8 MB of values, and each point becomes a CSV line
+MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -86,6 +98,9 @@ class GridSpec:
                 raise ContractError(f"grid bounds must be finite with lo < hi, got [{lo}, {hi}]")
             if n < 3:
                 raise ContractError(f"grids need at least 3 points per dimension, got {n}")
+        total = math.prod(self.points)
+        if total > MAX_GRID_POINTS:
+            raise ContractError(f"grid has {total} points; at most {MAX_GRID_POINTS} are allowed")
 
     @property
     def dim(self) -> int:
@@ -111,7 +126,9 @@ class BffModel:
     """log BF01 as a function of the tested value, plus domain metadata.
 
     For dim 1 `log_bff` must accept a float or a 1-D array; for dim 2 it
-    takes a length-2 point.  `lower_closed`/`upper_closed` mark finite
+    takes a (2, N) array whose rows are theta0 and tau0, or a single
+    length-2 point, so `p[0]` and `p[1]` serve both.  An array input must
+    give one value per point.  `lower_closed`/`upper_closed` mark finite
     domain endpoints that belong to the parameter space (a maximum there
     is a genuine MEE, not a truncation artifact).
     """
@@ -194,30 +211,28 @@ class SupportSet:
         return len(self.intervals) == 0
 
 
-def _eval_many(model: BffModel, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a 1-D model on an array, tolerating scalar-only callables."""
+def _eval_many(model: BffModel, points: np.ndarray) -> np.ndarray:
+    """One model call on a batch: a 1-D array of theta0 values, or a
+    (2, N) array whose rows are theta0 and tau0.  One value per point."""
     try:
-        out = np.asarray(model.log_bff(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(model.log_bff(float(x))) for x in xs])
+        out = np.asarray(model.log_bff(points), dtype=float)
+    except NumericalError:
+        # redo pointwise so the failure names the grid point
+        return np.array([_eval_guarded(model, p) for p in points.reshape(model.dim, -1).T])
+    if out.shape != points.shape[-1:]:
+        raise ContractError(
+            f"model {model.descriptor!r} returned shape {out.shape} for "
+            f"{points.shape[-1]} points; log_bff must give one value per point"
+        )
+    return out
 
 
-def _eval_point(model: BffModel, point) -> float:
-    if model.dim == 1:
-        return float(model.log_bff(float(point[0])))
-    return float(model.log_bff(np.asarray(point, dtype=float)))
-
-
-def evaluate_curve(model: BffModel, grid: GridSpec, threads: int = 0) -> BffCurve:
-    """Evaluate log BF01 over a grid.
+def evaluate_curve(model: BffModel, grid: GridSpec) -> BffCurve:
+    """Evaluate log BF01 over a grid in one model call.
 
     NaN values (a model reporting a truncated curve) are kept and flagged
     with a warning; numerical failures are re-raised with the offending
-    grid point attached.  Results do not depend on evaluation order or on
-    the number of worker threads.
+    grid point attached.
     """
     if grid.dim != model.dim:
         raise ContractError(
@@ -225,59 +240,24 @@ def evaluate_curve(model: BffModel, grid: GridSpec, threads: int = 0) -> BffCurv
         )
     axes = grid.axes()
     if model.dim == 1:
-        xs = axes[0]
-        if threads and threads > 1:
-            chunks = np.array_split(xs, threads * 4)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda c: _eval_curve_chunk(model, c), chunks))
-            values = np.concatenate(parts)
-        else:
-            values = _eval_curve_chunk(model, xs)
+        points = axes[0]
     else:
-        t_ax, u_ax = axes
-        values = np.empty((len(t_ax), len(u_ax)))
-        points = [
-            (i, j, (float(t), float(u)))
-            for i, t in enumerate(t_ax)
-            for j, u in enumerate(u_ax)
-        ]
-
-        def run(chunk):
-            out = []
-            for i, j, pt in chunk:
-                out.append((i, j, _eval_guarded(model, pt)))
-            return out
-
-        if threads and threads > 1:
-            split = [points[s::threads] for s in range(threads)]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = [r for part in pool.map(run, split) for r in part]
-        else:
-            results = run(points)
-        for i, j, v in results:
-            values[i, j] = v
+        points = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(2, -1)
+    values = _eval_many(model, points).reshape(tuple(len(a) for a in axes))
     warnings = ()
     if np.any(np.isnan(values)):
         warnings = ("truncated-curve: log BF01 undefined on part of the grid",)
     return BffCurve(axes=axes, log_bf=values, descriptor=model.descriptor, warnings=warnings)
 
 
-def _eval_curve_chunk(model: BffModel, xs: np.ndarray) -> np.ndarray:
-    try:
-        return _eval_many(model, xs)
-    except NumericalError:
-        # redo pointwise so the failure names the grid point
-        out = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            out[i] = _eval_guarded(model, (float(x),))
-        return out
-
-
 def _eval_guarded(model: BffModel, point) -> float:
+    """The model at one point, given as a 1- or 2-sequence."""
     try:
-        return _eval_point(model, point)
+        if model.dim == 1:
+            return float(model.log_bff(float(point[0])))
+        return float(model.log_bff(np.asarray(point, dtype=float)))
     except NumericalError as exc:
-        label = point[0] if model.dim == 1 else tuple(point)
+        label = float(point[0]) if model.dim == 1 else tuple(float(v) for v in point)
         raise NumericalError(f"{exc} (at grid point {label})") from exc
 
 
@@ -306,6 +286,24 @@ def _golden_max(f, a: float, b: float, tol: float):
     return x2, f2
 
 
+def analyze(model: BffModel, grid: GridSpec, ks: Sequence[float] = ()):
+    """Evaluate a BFF on a grid once and read every summary off that curve.
+
+    Returns (curve, mee, supports).  For a 1-D model `supports` holds one
+    SupportSet per level in `ks`; for a 2-D model one (mask, segments)
+    pair per level (see `support_region`).  The MEE is refined from the
+    curve's grid maxima; the crossings of every level are bisected
+    together, one model call per step.
+    """
+    for k in ks:
+        if not (k > 0.0 and math.isfinite(k)):
+            raise DomainError(f"support level k must be positive and finite, got {k!r}")
+    curve = evaluate_curve(model, grid)
+    if model.dim == 1:
+        return curve, _find_mee_1d(model, grid, curve), _support_sets(model, grid, curve, ks)
+    return curve, _find_mee_2d(model, grid, curve), [_support_region(curve, k) for k in ks]
+
+
 def find_mee(model: BffModel, grid: GridSpec) -> MeeResult:
     """Locate the maximum evidence estimate by grid scan plus refinement.
 
@@ -315,10 +313,7 @@ def find_mee(model: BffModel, grid: GridSpec) -> MeeResult:
     the searched region (unless that boundary is a closed endpoint of the
     model's own domain, where a boundary maximum is genuine).
     """
-    curve = evaluate_curve(model, grid)
-    if model.dim == 1:
-        return _find_mee_1d(model, grid, curve)
-    return _find_mee_2d(model, grid, curve)
+    return analyze(model, grid)[1]
 
 
 def _boundary_is_artificial(model: BffModel, dim_idx: int, side: str, edge: float) -> bool:
@@ -447,24 +442,29 @@ def _find_mee_2d(model: BffModel, grid: GridSpec, curve: BffCurve) -> MeeResult:
     )
 
 
-def _bisect_crossing(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
-    """Bisection for a sign change of f on [lo, hi]."""
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
+def _bisect_crossings(model, lo, hi, f_lo, f_hi, target, tol: float) -> np.ndarray:
+    """Bisect every bracket [lo, hi] of a sign change of log BF01 - target.
+
+    Each bracket is plain bisection (it stops once narrower than tol, or
+    on an exact zero); each step evaluates the midpoints of all brackets
+    still open in one model call.
+    """
+    done = (f_lo == 0.0) | (f_hi == 0.0)
+    root = np.where(f_lo == 0.0, lo, hi)
     for _ in range(200):
-        if hi - lo <= tol:
+        open_ = np.flatnonzero(~done & (hi - lo > tol))
+        if open_.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[open_] + hi[open_])
+        f_mid = _eval_many(model, mid) - target[open_]
+        hit = f_mid == 0.0
+        root[open_[hit]] = mid[hit]
+        done[open_[hit]] = True
+        left = ~hit & ((f_lo[open_] < 0.0) != (f_mid < 0.0))
+        right = ~hit & ~left
+        hi[open_[left]], f_hi[open_[left]] = mid[left], f_mid[left]
+        lo[open_[right]], f_lo[open_[right]] = mid[right], f_mid[right]
+    return np.where(done, root, 0.5 * (lo + hi))
 
 
 def support_set(model: BffModel, k: float, grid: GridSpec) -> SupportSet:
@@ -477,32 +477,27 @@ def support_set(model: BffModel, k: float, grid: GridSpec) -> SupportSet:
     """
     if model.dim != 1:
         raise ContractError("support_set handles 1-D models; use support_region for 2-D")
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"support level k must be positive and finite, got {k!r}")
-    curve = evaluate_curve(model, grid)
+    return analyze(model, grid, (k,))[2][0]
+
+
+def _support_sets(model: BffModel, grid: GridSpec, curve: BffCurve, ks) -> list:
     xs = curve.axes[0]
-    target = math.log(k)
-    vals = curve.log_bf - target
-    vals = np.where(np.isnan(vals), -np.inf, vals)
-    above = vals >= 0.0
-    if not above.any():
-        return SupportSet(k=k, intervals=(), warnings=())
+    targets = np.array([math.log(k) for k in ks]).reshape(-1, 1)
+    gaps = np.where(np.isnan(curve.log_bf), -np.inf, curve.log_bf - targets)
+    above = gaps >= 0.0
+    row, i = np.nonzero(above[:, :-1] != above[:, 1:])
+    ends = _bisect_crossings(
+        model, xs[i], xs[i + 1], gaps[row, i], gaps[row, i + 1], targets[row, 0],
+        1e-10 * (grid.upper[0] - grid.lower[0]),
+    )
+    return [_assemble_support(model, k, xs, above[r, 0], ends[row == r]) for r, k in enumerate(ks)]
 
-    f = lambda x: _eval_guarded(model, (x,)) - target
-    tol = 1e-10 * (grid.upper[0] - grid.lower[0])
-    edges = []
-    for i in range(len(xs) - 1):
-        if above[i] != above[i + 1]:
-            edges.append(
-                _bisect_crossing(
-                    f, float(xs[i]), float(xs[i + 1]), float(vals[i]), float(vals[i + 1]), tol
-                )
-            )
 
+def _assemble_support(model: BffModel, k: float, xs, starts_above: bool, edges) -> SupportSet:
+    """Pair up the crossings of level k into intervals, flagging grid ends."""
     intervals = []
     warnings = []
-    idx = 0
-    if above[0]:
+    if starts_above:
         start = float(xs[0])
         start_unbounded = _boundary_is_artificial(model, 0, "lower", start)
         if start_unbounded:
@@ -515,11 +510,10 @@ def support_set(model: BffModel, k: float, grid: GridSpec) -> SupportSet:
         start_unbounded = False
     for x in edges:
         if start is None:
-            start, start_unbounded = x, False
+            start, start_unbounded = float(x), False
         else:
-            intervals.append(Interval(start, x, lower_unbounded=start_unbounded))
+            intervals.append(Interval(start, float(x), lower_unbounded=start_unbounded))
             start, start_unbounded = None, False
-        idx += 1
     if start is not None:
         end = float(xs[-1])
         end_unbounded = _boundary_is_artificial(model, 0, "upper", end)
@@ -543,9 +537,10 @@ def support_region(model: BffModel, k: float, grid: GridSpec):
     """
     if model.dim != 2:
         raise ContractError("support_region handles 2-D models")
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"support level k must be positive and finite, got {k!r}")
-    curve = evaluate_curve(model, grid)
+    return analyze(model, grid, (k,))[2][0]
+
+
+def _support_region(curve: BffCurve, k: float):
     t_ax, u_ax = curve.axes
     g = curve.log_bf - math.log(k)
     g = np.where(np.isnan(g), -np.inf, g)

@@ -236,16 +236,18 @@ def meta_joint_bff(
 ) -> BffModel:
     """2-D BFF testing H0: theta = theta0, tau = tau0.
 
+    The model takes one (theta0, tau0) point or a (2, N) array of them;
+    a whole grid is one chunked `meta_loglik` pass.
     Pass a precomputed log_denominator to share it across the joint and
     marginal models; it is computed (once) otherwise.
     """
     log_denom = meta_log_denominator(data, priors) if log_denominator is None else log_denominator
 
-    def log_bff(point):
-        theta0, tau0 = float(point[0]), float(point[1])
-        if tau0 < 0.0:
-            raise DomainError(f"tau0 must be nonnegative, got {tau0!r}")
-        return meta_loglik(data, theta0, tau0) - log_denom
+    def log_bff(points):
+        # one (theta0, tau0) point, or a (2, N) array of them
+        if np.any(np.asarray(points[1]) < 0.0):
+            raise DomainError(f"tau0 must be nonnegative, got {float(np.min(points[1]))!r}")
+        return meta_loglik(data, points[0], points[1]) - log_denom
 
     return BffModel(
         log_bff=log_bff,

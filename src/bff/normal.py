@@ -9,7 +9,8 @@ probabilities, and the integrated-likelihood variance estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -192,7 +193,8 @@ def normal_closed_summaries(data: NormalSummary, prior: NormalPrior, k: float):
     mee = MeeResult(
         exists=True,
         theta_hat=(y,),
-        k_me=math.exp(log_k_me),
+        # evidence beyond e^709 is reported as k_ME = inf, as the engine does
+        k_me=math.exp(log_k_me) if log_k_me < math.log(sys.float_info.max) else math.inf,
         log_k_me=log_k_me,
         boundary=False,
     )
@@ -274,16 +276,12 @@ class ReplicationPair:
 def replication_bff(pair: ReplicationPair) -> BffModel:
     """BFF for the replication estimate under the original-study prior."""
     data, prior = pair.as_global()
-    model = normal_bff(data, prior)
-    return BffModel(
-        log_bff=model.log_bff,
-        lower=model.lower,
-        upper=model.upper,
+    return replace(
+        normal_bff(data, prior),
         descriptor=(
             f"replication(y_o={pair.y_o:g}, sigma_o={pair.sigma_o:g}, "
             f"y_r={pair.y_r:g}, sigma_r={pair.sigma_r:g})"
         ),
-        dim=1,
     )
 
 

@@ -14,8 +14,9 @@ import pytest
 from scipy.special import expit
 
 from bff import __version__
-from bff.cli import main
-from bff.datasets import neonatal_births_path
+from bff.cli import MAX_MC, main
+from bff.engine import MAX_GRID_POINTS
+from bff.datasets import coinflip_meta_path, neonatal_births_path
 from bff.glm import GlmPrior, fit_map, read_glm_csv
 from bff.normal import (
     GlobalNormalPrior,
@@ -37,6 +38,16 @@ def _summary(out):
 def _rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def _stderr_record(capsys, expect_code):
@@ -95,15 +106,6 @@ class TestNormal:
         assert main(["normal", "--config", str(cfg_path), "--out", str(second)]) == 0
         assert (first / "curve.csv").read_bytes() == (second / "curve.csv").read_bytes()
         assert not list(second.glob(".bff-*"))  # atomic writes leave no temp files
-
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
-        outputs = []
-        for threads, sub in (("1", "t1"), ("4", "t4")):
-            monkeypatch.setenv("BFF_THREADS", threads)
-            out = tmp_path / sub
-            assert main(RECOVERY + ["--out", str(out)]) == 0
-            outputs.append((out / "curve.csv").read_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_small_k_gets_conservative_label(self, tmp_path):
         assert main(RECOVERY + ["--k", "0.05,1", "--out", str(tmp_path)]) == 0
@@ -187,11 +189,62 @@ class TestErrorPaths:
                      "--prior", "truncbeta:a=1,b=1"]) == 2
         _stderr_record(capsys, 2)
 
-    def test_bad_thread_env(self, capsys, monkeypatch, tmp_path):
-        for bad in ("0", "abc"):
-            monkeypatch.setenv("BFF_THREADS", bad)
-            assert main(RECOVERY + ["--out", str(tmp_path)]) == 2
-            assert "BFF_THREADS" in _stderr_record(capsys, 2)["message"]
+    @pytest.mark.parametrize("flag, value", [
+        ("--estimate", "-1e-05"), ("--estimate", "-.5"), ("--estimate", "-2"),
+    ])
+    def test_negative_values_need_no_equals_sign(self, tmp_path, flag, value):
+        args = ["normal", "--se", "1", "--prior", "local:v=1", flag, value, "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert _summary(tmp_path)["config"]["estimate"] == float(value)
+
+    def test_negative_exponent_replication_estimate(self, tmp_path):
+        args = ["replication", "--yo", "0.0126", "--so", "0.0755", "--yr", "-7.402344798911054e-05",
+                "--sr", "0.0816", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert _summary(tmp_path)["config"]["yr"] == -7.402344798911054e-05
+
+    def test_negative_grid_lower_bound(self, tmp_path):
+        assert main(RECOVERY + ["--grid", "-9,9,301", "--out", str(tmp_path)]) == 0
+        assert _summary(tmp_path)["config"]["grid"] == [-9.0, 9.0, 301]
+        assert len(_rows(tmp_path / "curve.csv")) == 302
+
+    def test_unknown_flags_still_refused(self, capsys, tmp_path):
+        for bogus in (["--bogus", "1"], ["-x"], ["--estimate", "1", "--bogus"]):
+            assert main(RECOVERY + bogus + ["--out", str(tmp_path)]) == 2
+            assert "unrecognized arguments" in _stderr_record(capsys, 2)["message"]
+
+    def test_huge_grid_refused_before_allocation(self, capsys, tmp_path):
+        code, peak = _peak_bytes(
+            lambda: main(RECOVERY + ["--grid", "0,1,1000000000000", "--out", str(tmp_path)])
+        )
+        assert code == 2
+        assert f"at most {MAX_GRID_POINTS}" in _stderr_record(capsys, 2)["message"]
+        assert peak < 20e6
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_huge_joint_grid_refused_before_the_denominator(self, capsys, monkeypatch, tmp_path):
+        import bff.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("denominator computed for a refused grid")
+
+        monkeypatch.setattr(bff.cli, "meta_log_denominator", never)
+        args = ["meta", "--data", str(coinflip_meta_path()), "--theta-prior",
+                "truncbeta:a=5100,b=4900,l=0.5,u=1", "--mode", "joint",
+                "--theta-grid", "0.5,0.52,2000", "--tau-grid", "0,0.05,2000", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert "4000000 points" in _stderr_record(capsys, 2)["message"]
+
+    def test_auto_grid_with_evidence_beyond_float_range(self, tmp_path):
+        # log k_ME = 801.65: the closed-form sets that size the grid report
+        # k_ME = inf instead of overflowing
+        args = ["normal", "--estimate", "-2", "--se", "0.0625",
+                "--prior", "global:m=3,v=0.0117", "--out", str(tmp_path)]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(args) == 0
+        mee = _summary(tmp_path)["mee"]
+        assert mee["k_me"] is None and mee["display"]["k_me"] == "inf"
+        assert mee["log_k_me"] == pytest.approx(801.6537002043325, rel=1e-12)
 
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -502,6 +555,22 @@ class TestSimulate:
             assert main(args) == 0
             outs.append((out / "bff_cdf.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_huge_mc_refused_before_allocation(self, capsys, tmp_path):
+        args = ["simulate", "--prior", "local:v=1", "--mc", "1000000000000", "--out", str(tmp_path)]
+        code, peak = _peak_bytes(lambda: main(args))
+        assert code == 2
+        assert str(MAX_MC) in _stderr_record(capsys, 2)["message"]
+        assert peak < 20e6
+        assert not (tmp_path / "bff_cdf.csv").exists()
+
+    def test_huge_gamma_grid_refused(self, capsys, tmp_path):
+        args = ["simulate", "--prior", "local:v=1", "--gamma-grid", "0.1,2,1000000000000",
+                "--out", str(tmp_path)]
+        code, peak = _peak_bytes(lambda: main(args))
+        assert code == 2
+        assert str(MAX_GRID_POINTS) in _stderr_record(capsys, 2)["message"]
+        assert peak < 20e6
 
     def test_rejects_bad_inputs(self, capsys, tmp_path):
         assert main(["simulate", "--prior", "point:d=1", "--out", str(tmp_path)]) == 2

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy import stats
 
@@ -15,6 +17,7 @@ from bff import (
     DomainError,
     GridSpec,
     NumericalError,
+    analyze,
     combine_sequential,
     evaluate_curve,
     find_mee,
@@ -25,6 +28,7 @@ from bff import (
     support_set,
     universal_bound_pvalue,
 )
+from bff.engine import MAX_GRID_POINTS
 from bff.normal import (
     GlobalNormalPrior,
     LocalNormalPrior,
@@ -56,6 +60,14 @@ class TestGridSpec:
         with pytest.raises(ContractError):
             GridSpec.one_dim(0.0, math.inf)
 
+    def test_rejects_grids_above_the_point_cap(self):
+        # checked before np.linspace allocates anything
+        with pytest.raises(ContractError, match=str(MAX_GRID_POINTS)):
+            GridSpec.one_dim(0.0, 1.0, points=10**12)
+        with pytest.raises(ContractError, match="4000000 points"):
+            GridSpec.two_dim((0.0, 0.0), (1.0, 1.0), (2000, 2000))
+        assert GridSpec.two_dim((0.0, 0.0), (1.0, 1.0), (1000, 1000)).points == (1000, 1000)
+
     def test_two_dim_axes(self):
         g = GridSpec.two_dim((0.0, -1.0), (1.0, 1.0), (5, 9))
         ax, ay = g.axes()
@@ -86,18 +98,11 @@ class TestEvaluateCurve:
         for (pt,), v in curve.rows():
             assert v == float(model.log_bff(pt))
 
-    def test_thread_count_does_not_change_values(self):
-        model = recovery_model()
-        grid = GridSpec.one_dim(-0.6, 0.2, points=257)
-        a = evaluate_curve(model, grid, threads=1)
-        b = evaluate_curve(model, grid, threads=4)
-        assert np.array_equal(a.log_bf, b.log_bf)
-
     def test_deterministic_across_runs(self):
         model = recovery_model()
         grid = GridSpec.one_dim(-0.6, 0.2, points=129)
-        a = evaluate_curve(model, grid, threads=3)
-        b = evaluate_curve(model, grid, threads=3)
+        a = evaluate_curve(model, grid)
+        b = evaluate_curve(model, grid)
         assert np.array_equal(a.log_bf, b.log_bf)
 
     def test_grid_max_near_estimate(self):
@@ -146,13 +151,29 @@ class TestEvaluateCurve:
         assert rows[0][0][0] == rows[4][0][0] == -1.0
         assert rows[5][0][0] == 0.0
 
-    def test_two_dim_threads_invariant(self):
-        f = lambda p: -((p[0] - 0.2) ** 2) - 0.5 * (p[1] + 0.3) ** 2
-        model = BffModel(log_bff=f, lower=(-2.0, -2.0), upper=(2.0, 2.0), descriptor="quad2", dim=2)
-        grid = GridSpec.two_dim((-1.0, -1.0), (1.0, 1.0), (21, 17))
-        a = evaluate_curve(model, grid, threads=1)
-        b = evaluate_curve(model, grid, threads=5)
-        assert np.array_equal(a.log_bf, b.log_bf)
+    def test_scalar_output_for_array_input_is_contract_error(self):
+        one = BffModel(log_bff=lambda x: 0.5, lower=(0.0,), upper=(1.0,), descriptor="scalar-1d")
+        with pytest.raises(ContractError, match="scalar-1d"):
+            evaluate_curve(one, GridSpec.one_dim(0.0, 1.0, points=11))
+        two = BffModel(
+            log_bff=lambda p: float(p[0][0]), lower=(0.0, 0.0), upper=(1.0, 1.0),
+            descriptor="scalar-2d", dim=2,
+        )
+        with pytest.raises(ContractError, match="scalar-2d"):
+            evaluate_curve(two, GridSpec.two_dim((0.0, 0.0), (1.0, 1.0), (3, 4)))
+
+    def test_two_dim_grid_is_one_call_on_rows(self):
+        shapes = []
+
+        def f(p):
+            shapes.append(np.shape(p))
+            return p[0] - 10.0 * p[1]
+
+        model = BffModel(log_bff=f, lower=(0.0, 0.0), upper=(1.0, 1.0), descriptor="plane", dim=2)
+        curve = evaluate_curve(model, GridSpec.two_dim((0.0, 0.0), (1.0, 1.0), (3, 5)))
+        assert shapes == [(2, 15)]
+        ax, ay = curve.axes
+        assert np.array_equal(curve.log_bf, ax[:, None] - 10.0 * ay[None, :])
 
     def test_empty_descriptor_rejected(self):
         with pytest.raises(ContractError):
@@ -367,6 +388,127 @@ class TestSupportRegion:
     def test_requires_two_dim_model(self):
         with pytest.raises(ContractError):
             support_region(recovery_model(), 1.0, GridSpec.two_dim((0, 0), (1, 1), (5, 5)))
+
+
+def _bimodal(t):
+    t = np.asarray(t, dtype=float)
+    return np.maximum(-((t + 1.0) ** 2), 0.3 - 2.0 * (t - 1.0) ** 2)
+
+
+class TestAnalyze:
+    def test_one_grid_call_and_one_call_per_bisection_step(self):
+        calls = []
+
+        def log_bff(x):
+            calls.append(np.shape(x))
+            return _bimodal(x)
+
+        model = BffModel(log_bff=log_bff, lower=(-math.inf,), upper=(math.inf,), descriptor="bimodal")
+        grid = GridSpec.one_dim(-3.0, 3.0, points=1201)
+        ks = (math.exp(-0.5), math.exp(-0.8))
+        curve, mee, supports = analyze(model, grid, ks)
+        assert calls[0] == (1201,)
+        batches = [c for c in calls[1:] if c != ()]
+        # two levels with two intervals each: eight crossings per step, and
+        # bisection from a 0.005-wide bracket to 6e-10 takes 23 steps
+        assert batches[0] == (8,)
+        assert 20 <= len(batches) <= 26
+        assert all(c[0] <= 8 for c in batches)
+        assert [len(s.intervals) for s in supports] == [2, 2]
+        for k, s in zip(ks, supports):
+            lone = support_set(model, k, grid)
+            assert s == lone
+        assert mee.theta_hat[0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_wrappers_agree_with_analyze(self):
+        model = recovery_model()
+        grid = GridSpec.one_dim(-0.6, 0.2, points=301)
+        curve, mee, (s1, s2) = analyze(model, grid, (1.0, 20.0))
+        assert np.array_equal(curve.log_bf, evaluate_curve(model, grid).log_bf)
+        assert mee == find_mee(model, grid)
+        assert s1 == support_set(model, 1.0, grid)
+        assert s2 == support_set(model, 20.0, grid)
+
+    def test_two_dim_returns_region_per_level(self):
+        f = lambda p: -0.5 * (p[0] ** 2 + p[1] ** 2)
+        model = BffModel(
+            log_bff=f, lower=(-math.inf, -math.inf), upper=(math.inf, math.inf),
+            descriptor="bowl", dim=2,
+        )
+        grid = GridSpec.two_dim((-3.0, -3.0), (3.0, 3.0), (31, 31))
+        _, mee, regions = analyze(model, grid, (math.exp(-0.5), 2.0))
+        assert mee.theta_hat == pytest.approx((0.0, 0.0), abs=1e-6)
+        (mask, segments), (mask_above, segments_above) = regions
+        want_mask, want_segments = support_region(model, math.exp(-0.5), grid)
+        assert np.array_equal(mask, want_mask) and segments == want_segments
+        assert not mask_above.any() and not segments_above
+
+    def test_bad_level_rejected_before_evaluation(self):
+        calls = []
+        model = BffModel(
+            log_bff=lambda x: calls.append(1) or -np.asarray(x) ** 2,
+            lower=(-math.inf,), upper=(math.inf,), descriptor="count",
+        )
+        with pytest.raises(DomainError):
+            analyze(model, GridSpec.one_dim(-1.0, 1.0, points=11), (1.0, -2.0))
+        assert not calls
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        y=st.floats(-3.0, 3.0),
+        sigma=st.floats(0.05, 2.0),
+        local=st.booleans(),
+        m=st.floats(-3.0, 3.0),
+        v=st.floats(0.01, 4.0),
+        # fractions of k_ME: below it (the set is an interval wide enough to
+        # hold grid points) or above it (the set is empty)
+        fractions=st.lists(
+            st.one_of(st.floats(1e-3, 0.99), st.floats(1.01, 100.0)), min_size=1, max_size=5
+        ),
+    )
+    def test_properties_on_normal_models(self, y, sigma, local, m, v, fractions):
+        data = NormalSummary(y, sigma)
+        prior = LocalNormalPrior(v) if local else GlobalNormalPrior(m, v)
+        k_me = normal_closed_summaries(data, prior, 1.0)[0].k_me
+        # levels are ratios: near a k_ME beyond e^709 none can be written down
+        assume(math.isfinite(k_me * max(fractions)))
+        ks = [f * k_me for f in fractions]
+        closed = [normal_closed_summaries(data, prior, k)[1] for k in ks]
+        width = 8.0 * sigma
+        for s in closed:
+            if s.intervals:
+                width = max(width, 1.3 * (s.intervals[0].upper - y) + 2.0 * sigma)
+        grid = GridSpec.one_dim(y - width, y + width, points=512)
+        span = 2.0 * width
+        _, mee, supports = analyze(normal_bff(data, prior), grid, ks)
+
+        # MEE and k_ME agree with the closed form.  Golden section stops at
+        # 1e-8 of the range, unless rounding of log BF01 (ulps of log k_ME)
+        # flattens the peak over a wider stretch
+        curvature = 0.5 / (sigma**2 * (1.0 + sigma**2 / v)) if local else 0.5 / sigma**2
+        flat = math.sqrt(8.0 * np.finfo(float).eps * max(1.0, math.log(k_me)) / curvature)
+        assert mee.exists and not mee.boundary
+        assert mee.theta_hat[0] == pytest.approx(y, abs=1e-8 * span + flat)
+        assert mee.log_k_me == pytest.approx(math.log(k_me), abs=1e-9)
+        # k-sets agree with the closed form, ends to the bisection tolerance
+        for got, want in zip(supports, closed):
+            assert len(got.intervals) == len(want.intervals)
+            for a, b in zip(got.intervals, want.intervals):
+                assert a.lower == pytest.approx(b.lower, abs=1e-10 * span)
+                assert a.upper == pytest.approx(b.upper, abs=1e-10 * span)
+        # S_k shrinks as k grows
+        order = sorted(range(len(ks)), key=lambda i: ks[i])
+        for lo, hi in zip(order, order[1:]):
+            for inner in supports[hi].intervals:
+                assert any(
+                    outer.lower - 1e-10 * span <= inner.lower
+                    and inner.upper <= outer.upper + 1e-10 * span
+                    for outer in supports[lo].intervals
+                )
+        # the MEE lies in S_k for every k <= k_ME
+        for k, s in zip(ks, supports):
+            if k <= mee.k_me:
+                assert any(iv.lower <= mee.theta_hat[0] <= iv.upper for iv in s.intervals)
 
 
 def _uniform_hole_prior():
