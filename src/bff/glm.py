@@ -11,7 +11,7 @@ groups them once, when it is built: the distinct rows U, the trials m
 (rows per pattern) and the successes s (outcome sum per pattern) give
 the same binomial log likelihood s.(U b) - m.log(1 + exp(U b)), its
 gradient U'(s - m mu) and its negative Hessian U' diag(m mu (1 - mu)) U.
-The Newton fit and every Metropolis step cost one pass over the
+The Newton fit and every Metropolis proposal cost one pass over the
 patterns (288 for the bundled 2992-row births table) instead of one
 over the rows; `design` and `outcome` stay on the dataset for callers.
 """
@@ -50,6 +50,10 @@ _SEPARATION_BOUND = 15.0
 # design), so larger requests are refused before anything is allocated.
 MAX_SAMPLES = 2_000_000
 
+# Proposals the Metropolis sampler scores together from one point;
+# batches of 4 to 8 ran equally fast.
+_PREFETCH = 6
+
 
 @dataclass(frozen=True)
 class GlmDataset:
@@ -75,13 +79,16 @@ class GlmDataset:
         object.__setattr__(self, "outcome", y)
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise DomainError("design must be 2-D with one outcome per row")
+        if len(x) == 0:
+            raise DomainError("design must have at least one row")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("design values must be finite")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise DomainError("outcome values must be 0 or 1")
         if not np.all(x[:, 0] == 1.0):
             raise DomainError("first design column must be the all-ones intercept")
         if len(self.names) != x.shape[1]:
             raise DomainError("names must match the design column count")
-        _check_rank(x)
         # lexsort brings equal rows together; np.unique(axis=0) does the
         # same through a structured view at about 15x the cost
         order = np.lexsort(x.T[::-1])
@@ -93,6 +100,7 @@ class GlmDataset:
         object.__setattr__(self, "patterns", xs[first])
         object.__setattr__(self, "trials", np.bincount(group).astype(float))
         object.__setattr__(self, "successes", np.bincount(group, weights=y[order]))
+        _check_rank(self.patterns, self.trials, len(x))
 
     @property
     def n(self) -> int:
@@ -111,16 +119,29 @@ class GlmDataset:
             ) from None
 
 
-def _check_rank(x: np.ndarray):
-    # standardize covariate columns so the rank test is scale-free
-    z = x.copy()
-    for j in range(1, x.shape[1]):
-        col = x[:, j]
-        sd = col.std()
-        if sd == 0.0:
-            raise DomainError(f"design column {j} is constant")
-        z[:, j] = (col - col.mean()) / sd
-    if np.linalg.matrix_rank(z) < x.shape[1]:
+def _check_rank(patterns: np.ndarray, trials: np.ndarray, n: int):
+    """Refuse a constant covariate column, or a design that is rank
+    deficient once its covariate columns are standardized (scale-free).
+
+    The SVD runs on the distinct rows scaled by sqrt(trials), standardized
+    with the means and standard deviations of all n rows: that matrix has
+    the Gram matrix, and so the singular values, of the standardized full
+    design.  The tolerance is numpy's matrix_rank default for n x p.
+    """
+    p = patterns.shape[1]
+    mean = trials @ patterns / n
+    dev = patterns - mean
+    sd = np.sqrt(trials @ (dev * dev) / n)
+    # a constant is one distinct value: its weighted mean can round off it
+    constant = (sd == 0.0) | np.all(patterns == patterns[0], axis=0)
+    constant[0] = False
+    if constant.any():
+        raise DomainError(f"design column {constant.argmax()} is constant")
+    root = np.sqrt(trials)[:, None]
+    z = patterns * root
+    z[:, 1:] = dev[:, 1:] / sd[1:] * root
+    sv = np.linalg.svd(z, compute_uv=False)
+    if np.count_nonzero(sv > sv.max() * max(n, p) * np.finfo(float).eps) < p:
         raise DomainError("design matrix is rank deficient after standardization")
 
 
@@ -213,6 +234,12 @@ def _log_lik(data: GlmDataset, beta: np.ndarray) -> float:
     """Binomial log likelihood over the covariate patterns."""
     eta = data.patterns @ beta
     return float(data.successes @ eta - data.trials @ np.logaddexp(0.0, eta))
+
+
+def _softplus(eta: np.ndarray) -> np.ndarray:
+    """log(1 + exp(eta)) elementwise without overflow; on a few rows of
+    patterns about 3x faster than np.logaddexp(0, eta)."""
+    return np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
 
 
 def _score_and_information(data: GlmDataset, beta: np.ndarray):
@@ -320,17 +347,28 @@ def metropolis_sample(
     (samples, info) where info carries the post-burn-in acceptance rate
     and any warnings; identical seeds give identical samples.
     n_samples must lie in [100, MAX_SAMPLES].
+
+    The chain is run by prefetching (Brockwell 2006, JCGS 15:246): the
+    next `_PREFETCH` proposals are all made from the current point, as
+    if every one of them were rejected, and scored in one matrix
+    product.  The first that passes its uniform test is exactly where
+    the step-by-step chain moves; the ones before it are its rejections.
+    Burn-in batches end at every 100th step, where the scale adapts, so
+    the draws are those of the step-by-step chain.
     """
     if not 100 <= n_samples <= MAX_SAMPLES:
         raise DomainError(f"n_samples must be between 100 and {MAX_SAMPLES}, got {n_samples}")
     fit = fit_map(data, prior)
     d = data.p
     cov = np.linalg.inv(fit.neg_hessian) * (2.38**2 / d)
-    chol = np.linalg.cholesky(cov)
-    prec = prior.precisions(d)
+    chol_t = np.linalg.cholesky(cov).T
+    patterns_t = np.ascontiguousarray(data.patterns.T)
+    half_prec = 0.5 * prior.precisions(d)
 
-    def log_post(beta):
-        return _log_lik(data, beta) - 0.5 * float(prec @ beta**2)
+    def log_post(betas):
+        """Log posterior of each row of the (k, d) array betas."""
+        eta = betas @ patterns_t
+        return eta @ data.successes - _softplus(eta) @ data.trials - (betas * betas) @ half_prec
 
     rng = np.random.default_rng(seed)
     normals = rng.standard_normal((n_samples, d))
@@ -339,21 +377,33 @@ def metropolis_sample(
     burn = n_samples // 10
     scale = 1.0
     beta = fit.mode.copy()
-    lp = log_post(beta)
+    lp = log_post(beta[None, :])[0]
     out = np.empty((n_samples, d))
     accepted_recent = 0
     accepted_main = 0
-    for t in range(n_samples):
-        prop = beta + scale * (chol @ normals[t])
-        lp_prop = log_post(prop)
-        if log_unifs[t] < lp_prop - lp:
-            beta, lp = prop, lp_prop
+    t = 0
+    while t < n_samples:
+        stop = min(t + _PREFETCH, n_samples)
+        if t < burn:
+            stop = min(stop, t - t % 100 + 100)
+        props = beta + scale * (normals[t:stop] @ chol_t)
+        lp_props = log_post(props)
+        passed = log_unifs[t:stop] < lp_props - lp
+        k = int(passed.argmax())
+        if not passed[k]:
+            out[t:stop] = beta
+            t = stop
+        else:
+            out[t : t + k] = beta
+            beta, lp = props[k], lp_props[k]
+            t += k
+            out[t] = beta
             if t < burn:
                 accepted_recent += 1
             else:
                 accepted_main += 1
-        out[t] = beta
-        if t < burn and (t + 1) % 100 == 0:
+            t += 1
+        if t <= burn and t % 100 == 0:
             rate = accepted_recent / 100.0
             scale *= math.exp(rate - 0.234)
             accepted_recent = 0
@@ -374,6 +424,11 @@ def kde_density(sample, descriptor: str = "kde-posterior") -> DensityFn:
     Supported on the sample range only: outside [min, max] the log
     density is NaN, which downstream curve evaluation reports as a
     truncated curve instead of inventing tail values.
+
+    Each point sums only the draws within h * sqrt((d0/h)^2 + 2 (ln n + 37))
+    of it, d0 being the distance to its nearest draw.  Every draw left
+    out contributes less than e^-37 / n of the nearest one, so the log
+    density is that of the full sum to rounding.
     """
     s = np.sort(np.asarray(sample, dtype=float))
     if s.ndim != 1 or len(s) < 2:
@@ -387,17 +442,32 @@ def kde_density(sample, descriptor: str = "kde-posterior") -> DensityFn:
     h = 0.9 * width * n ** (-0.2)
     lo, hi = float(s[0]), float(s[-1])
     log_norm = math.log(n * h * math.sqrt(2.0 * math.pi))
+    reach = 2.0 * (math.log(n) + 37.0)
+    u = s / h  # the draws in bandwidths
 
     def log_density(b):
         arr = np.atleast_1d(np.asarray(b, dtype=float))
-        res = np.empty(arr.shape)
-        for start in range(0, len(arr), 32):
-            block = arr[start : start + 32]
-            q = -0.5 * ((block[:, None] - s[None, :]) / h) ** 2
-            m = np.max(q, axis=1, keepdims=True)
-            res[start : start + 32] = m[:, 0] + np.log(np.sum(np.exp(q - m), axis=1))
-        res -= log_norm
-        res[(arr < lo) | (arr > hi)] = np.nan
+        res = np.full(arr.shape, np.nan)
+        inside = (arr >= lo) & (arr <= hi)
+        x = arr[inside] / h
+        right = np.searchsorted(u, x)
+        left = np.maximum(right - 1, 0)
+        right = np.minimum(right, n - 1)
+        nearest = np.where(x - u[left] <= u[right] - x, left, right)
+        d0sq = (u[nearest] - x) ** 2
+        half = np.sqrt(d0sq + reach)
+        # the nearest draw stays in even where half rounds to its distance
+        starts = np.minimum(np.searchsorted(u, x - half, side="left"), nearest)
+        ends = np.maximum(np.searchsorted(u, x + half, side="right"), nearest + 1)
+        sums = np.empty(len(x))
+        for i, (xi, first, stop) in enumerate(zip(x, starts, ends)):
+            # terms relative to the nearest draw's, which is exactly 1
+            z = u[first:stop] - xi
+            z *= z
+            z -= d0sq[i]
+            z *= -0.5
+            sums[i] = np.exp(z, out=z).sum()
+        res[inside] = np.log(sums) - 0.5 * d0sq - log_norm
         return float(res[0]) if np.ndim(b) == 0 else res
 
     return DensityFn(

@@ -15,7 +15,6 @@ from .errors import DomainError, NumericalError
 __all__ = [
     "log_gamma",
     "log_beta",
-    "reg_inc_beta",
     "log_reg_inc_beta",
     "log_trunc_beta_mass",
     "normal_log_density",
@@ -136,21 +135,6 @@ def log_reg_inc_beta(x: float, a: float, b: float) -> float:
         return _log1mexp(comp)
     front = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
     return front + math.log(_beta_cf(x, a, b) / a)
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"incomplete beta requires a, b > 0, got a={a!r}, b={b!r}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"incomplete beta requires x in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - reg_inc_beta(1.0 - x, b, a)
-    return math.exp(log_reg_inc_beta(x, a, b))
 
 
 def log_trunc_beta_mass(a: float, b: float, lower: float, upper: float) -> float:

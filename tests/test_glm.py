@@ -26,6 +26,7 @@ from bff.glm import (
     GlmPrior,
     _log_lik,
     _score_and_information,
+    _softplus,
     fit_map,
     glm_coefficient_bff,
     kde_density,
@@ -115,6 +116,57 @@ def _reference_metropolis(x, y, prec, fit, n_samples, seed):
     return out, accepted, scale
 
 
+def _assert_matches_reference_sampler(data, prior, n_samples, seed):
+    """`metropolis_sample` against `_reference_metropolis`: identical
+    accept decisions and proposal scale, draws within 1e-10."""
+    fit = fit_map(data, prior)
+    want, accepted, want_scale = _reference_metropolis(
+        data.design, data.outcome, prior.precisions(data.p), fit, n_samples, seed
+    )
+    got, info = metropolis_sample(data, prior, n_samples=n_samples, seed=seed)
+    burn = n_samples // 10
+    assert np.max(np.abs(got - want[burn:])) <= 1e-10
+    # identical accept decisions: every burn-in block (through the
+    # adapted scale), the post-burn-in count, and each later step
+    assert info["proposal_scale"] == want_scale
+    assert info["acceptance_rate"] == np.count_nonzero(accepted[burn:]) / (n_samples - burn)
+    moved = np.any(got[1:] != got[:-1], axis=1)
+    assert np.array_equal(moved, accepted[burn + 1 :])
+    return info
+
+
+def _full_design_rank_message(x):
+    """The design check on the standardized full design, as an SVD of all
+    n rows: the message GlmDataset must raise, or None."""
+    z = x.copy()
+    for j in range(1, x.shape[1]):
+        col = x[:, j]
+        if np.all(col == col[0]) or col.std() == 0.0:
+            return f"design column {j} is constant"
+        z[:, j] = (col - col.mean()) / col.std()
+    if np.linalg.matrix_rank(z) < x.shape[1]:
+        return "design matrix is rank deficient after standardization"
+    return None
+
+
+def _full_sum_log_kde(sample, points):
+    """Log density of the Gaussian KDE of `kde_density`, summed over every
+    draw: the reference for its windowed sum."""
+    s = np.sort(np.asarray(sample, dtype=float))
+    n = len(s)
+    sd = s.std(ddof=1)
+    iqr = s[int(0.75 * (n - 1))] - s[int(0.25 * (n - 1))]
+    h = 0.9 * (min(sd, iqr / 1.34) if iqr > 0.0 else sd) * n ** (-0.2)
+    out = np.empty(len(points))
+    for start in range(0, len(points), 32):
+        q = -0.5 * ((points[start : start + 32, None] - s[None, :]) / h) ** 2
+        m = q.max(axis=1)
+        out[start : start + 32] = m + np.log(np.sum(np.exp(q - m[:, None]), axis=1))
+    out -= math.log(n * h * math.sqrt(2.0 * math.pi))
+    out[(points < s[0]) | (points > s[-1])] = np.nan
+    return out, h
+
+
 class TestSufficientStatistics:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -162,23 +214,90 @@ class TestSufficientStatistics:
         assert np.max(np.abs(grad - prec * fit.mode)) < 1e-8
         assert np.all(np.abs(fit.neg_hessian - (info + np.diag(prec))) <= 1e-12 * info_scale)
 
-    @pytest.mark.parametrize("seed", [2, 9])
-    def test_metropolis_matches_full_design_sampler(self, seed):
+    @pytest.mark.parametrize(
+        "seed,n_samples",
+        [
+            pytest.param(2, 3000, id="2"),
+            pytest.param(9, 3000, id="9"),
+            # burn-in of 123 steps: one adaptation, then a partial block
+            pytest.param(4, 1234, id="burn-123"),
+            # burn-in of 15 steps: the scale never adapts
+            pytest.param(5, 150, id="burn-15"),
+        ],
+    )
+    def test_metropolis_matches_full_design_sampler(self, seed, n_samples):
         data, _ = _repeated_rows(seed, 10, 300, 3)
-        n_samples = 3000
-        fit = fit_map(data, PRIOR)
-        want, accepted, want_scale = _reference_metropolis(
-            data.design, data.outcome, PRIOR.precisions(data.p), fit, n_samples, seed
-        )
-        got, info = metropolis_sample(data, PRIOR, n_samples=n_samples, seed=seed)
-        burn = n_samples // 10
-        assert np.max(np.abs(got - want[burn:])) <= 1e-10
-        # identical accept decisions: every burn-in block (through the
-        # adapted scale), the post-burn-in count, and each later step
-        assert info["proposal_scale"] == want_scale
-        assert info["acceptance_rate"] == np.count_nonzero(accepted[burn:]) / (n_samples - burn)
-        moved = np.any(got[1:] != got[:-1], axis=1)
-        assert np.array_equal(moved, accepted[burn + 1 :])
+        _assert_matches_reference_sampler(data, PRIOR, n_samples, seed)
+
+    def test_metropolis_matches_full_design_sampler_at_high_acceptance(self):
+        # three failures under a nearly flat intercept prior: the posterior
+        # is far wider than its Laplace approximation, so most proposals
+        # pass and batches often end at their first proposal
+        data = GlmDataset(np.ones((3, 1)), np.zeros(3), ("intercept",))
+        prior = GlmPrior(coef_variance=0.5, intercept_variance=1e7)
+        info = _assert_matches_reference_sampler(data, prior, 600, 2)
+        assert info["acceptance_rate"] > 0.6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=40))
+    def test_softplus_matches_logaddexp(self, values):
+        eta = np.array(values)
+        # exp(-|eta|) underflows to its exact value 0 past |eta| ~ 745 in
+        # both forms; overflow, division by zero and NaNs raise
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            got = _softplus(eta)
+            want = np.logaddexp(0.0, eta)
+        assert np.all(np.abs(got - want) <= 4e-16 * np.abs(want))
+
+    def test_rank_tolerance_counts_every_row(self):
+        # smallest singular value 3.7e-14 of the largest: below the
+        # tolerance for 4000 rows (8.9e-13), above that for the 5 distinct
+        # ones (1.1e-15)
+        x1 = np.array([0.0, 1.0, 2.0, 3.0, 5.0])
+        base = np.column_stack([np.ones(5), x1, 0.5 * x1 + [0.0, 1e-13, 0.0, -1e-13, 0.0]])
+        x = np.repeat(base, 800, axis=0)
+        want = _full_design_rank_message(x)
+        assert want == "design matrix is rank deficient after standardization"
+        with pytest.raises(DomainError, match="^" + want + "$"):
+            GlmDataset(x, np.zeros(len(x)), ("intercept", "a", "b"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),           # columns, intercept included
+        st.integers(0, 12),          # distinct rows beyond the column count
+        st.integers(0, 60),          # repeated rows
+        st.sampled_from(["well", "constant", "collinear", "duplicate", "few-rows"]),
+    )
+    def test_rank_check_matches_full_design(self, seed, p, extra, repeats, kind):
+        rng = np.random.default_rng(seed)
+        distinct = p + extra
+        if kind == "few-rows":
+            distinct = int(rng.integers(1, p + 1))
+        # small integers make collinear columns exactly collinear; the
+        # well-posed kind mixes in continuous values
+        base = rng.integers(-3, 4, size=(distinct, p)).astype(float)
+        if kind == "well":
+            base[:, 1:] += rng.standard_normal((distinct, p - 1)) * rng.integers(0, 2, p - 1)
+        base[:, 0] = 1.0
+        j = int(rng.integers(1, p))
+        if kind == "constant":
+            base[:, j] = rng.choice([0.0, 0.1, 3.0, -7.3])
+        elif kind in ("collinear", "duplicate") and p > 2:
+            others = [c for c in range(p) if c != j]
+            a, b = rng.choice(others, size=2, replace=False)
+            ca, cb = (1.0, 0.0) if kind == "duplicate" else rng.integers(-2, 3, size=2)
+            base[:, j] = ca * base[:, a] + cb * base[:, b]
+        idx = rng.permutation(np.r_[np.arange(distinct), rng.integers(0, distinct, repeats)])
+        x = base[idx]
+        names = ("intercept", *(f"x{c}" for c in range(1, p)))
+        want = _full_design_rank_message(x)
+        try:
+            GlmDataset(x, np.zeros(len(x)), names)
+            got = None
+        except DomainError as exc:
+            got = str(exc)
+        assert got == want
 
 
 class TestFitMap:
@@ -229,6 +348,17 @@ class TestFitMap:
         consts = np.hstack([np.ones((5, 1)), np.full((5, 1), 3.0)])
         with pytest.raises(DomainError, match="constant"):
             GlmDataset(consts, np.zeros(5), ("intercept", "x1"))
+        # a constant whose mean rounds off it is still named as constant
+        tenths = np.hstack([np.ones((3, 1)), np.full((3, 1), 0.1)])
+        assert np.std(tenths[:, 1]) > 0.0
+        with pytest.raises(DomainError, match="column 1 is constant"):
+            GlmDataset(tenths, np.zeros(3), ("intercept", "x1"))
+        with pytest.raises(DomainError, match="at least one row"):
+            GlmDataset(np.ones((0, 2)), np.zeros(0), ("intercept", "x1"))
+        for bad in (math.nan, math.inf):
+            design = np.array([[1.0, 0.0], [1.0, bad], [1.0, 2.0]])
+            with pytest.raises(DomainError, match="finite"):
+                GlmDataset(design, np.array([0.0, 1.0, 0.0]), ("intercept", "x1"))
 
 
 class TestLaplaceMarginal:
@@ -311,6 +441,58 @@ class TestKde:
     def test_degenerate_sample_rejected(self):
         with pytest.raises(DomainError):
             kde_density(np.full(100, 2.0))
+
+    def test_windowed_sum_matches_full_sum_on_bundled_draws(self):
+        from bff.datasets import load_neonatal_births
+
+        data = load_neonatal_births()
+        j = data.coefficient_index("early_age")
+        draws = metropolis_sample(data, PRIOR, n_samples=40_000, seed=1)[0][:, j]
+        # the CLI's auto grid for --method mcmc, plus points beyond it
+        grid = np.r_[np.linspace(draws.min(), draws.max(), 512), draws.min() - 0.1, 9.0]
+        want, _ = _full_sum_log_kde(draws, grid)
+        got = kde_density(draws).log_density(grid)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.nanmax(np.abs(got - want)) <= 1e-12
+
+    def test_windowed_sum_matches_full_sum_far_from_the_draws(self):
+        rng = np.random.default_rng(22)
+        core = rng.normal(0.0, 1.0, 2000)
+        _, h = _full_sum_log_kde(core, np.zeros(1))
+        # two modes 40 bandwidths apart, and one draw 12 h past the rest
+        bimodal = np.r_[core, core + 40 * h]
+        lone = np.r_[core, core.max() + 12 * h]
+        for sample in (bimodal, lone):
+            points = np.linspace(sample.min(), sample.max(), 2001)
+            want, _ = _full_sum_log_kde(sample, points)
+            got = kde_density(sample).log_density(points)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_points_in_a_gap_of_billions_of_bandwidths(self):
+        # the window's half-width rounds to the distance of the nearest
+        # draw here; that draw must still be summed
+        sample = np.r_[np.linspace(0.0, 1e-9, 1000), 1.0]
+        points = np.linspace(0.0, 1.0, 4001)
+        want, h = _full_sum_log_kde(sample, points)
+        assert 0.3 / h > 1e9
+        got = kde_density(sample).log_density(points)
+        assert np.all(np.isfinite(got)) and np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_scalar_nan_and_unsorted_points(self):
+        rng = np.random.default_rng(23)
+        dens = kde_density(rng.normal(size=3000))
+        points = np.linspace(dens.lower - 0.5, dens.upper + 0.5, 301)
+        values = dens.log_density(points)
+        scalar = dens.log_density(0.25)
+        assert isinstance(scalar, float)
+        assert scalar == dens.log_density(np.array([0.25]))[0]
+        outside = (points < dens.lower) | (points > dens.upper)
+        assert np.all(np.isnan(values[outside])) and np.all(np.isfinite(values[~outside]))
+        assert math.isnan(dens.log_density(math.nan))
+        assert np.isnan(dens.log_density(np.array([0.0, math.nan, 0.5]))[1])
+        order = rng.permutation(len(points))
+        assert np.array_equal(dens.log_density(points[order]), values[order], equal_nan=True)
 
 
 class TestCoefficientBff:

@@ -14,7 +14,6 @@ from bff.specfun import (
     log_reg_inc_beta,
     log_trunc_beta_mass,
     normal_log_density,
-    reg_inc_beta,
 )
 
 mpmath.mp.dps = 50
@@ -59,6 +58,11 @@ class TestLogBeta:
             log_beta(0.0, 1.0)
         with pytest.raises(DomainError):
             log_beta(1.0, -2.0)
+
+
+def reg_inc_beta(x, a, b):
+    """I_x(a, b) through the log-space routine that the package keeps."""
+    return math.exp(log_reg_inc_beta(x, a, b))
 
 
 class TestRegIncBeta:
@@ -106,18 +110,6 @@ class TestRegIncBeta:
             )
             assert s == pytest.approx(1.0, abs=1e-12)
 
-    def test_log_version_tracks_linear_version(self):
-        rng = np.random.default_rng(15)
-        for _ in range(30):
-            a = rng.uniform(0.5, 100.0)
-            b = rng.uniform(0.5, 100.0)
-            x = rng.uniform(0.01, 0.99)
-            lin = reg_inc_beta(float(x), float(a), float(b))
-            if lin > 0:
-                assert log_reg_inc_beta(float(x), float(a), float(b)) == pytest.approx(
-                    math.log(lin), abs=1e-10
-                )
-
     def test_log_version_deep_tail(self):
         # far left tail where the linear value underflows toward 0
         want = float(mpmath.log(mpmath.betainc(200, 300, 0, 0.05, regularized=True)))
@@ -125,9 +117,9 @@ class TestRegIncBeta:
 
     def test_rejects_outside_unit_interval(self):
         with pytest.raises(DomainError):
-            reg_inc_beta(-0.1, 2.0, 2.0)
+            log_reg_inc_beta(-0.1, 2.0, 2.0)
         with pytest.raises(DomainError):
-            reg_inc_beta(1.1, 2.0, 2.0)
+            log_reg_inc_beta(1.1, 2.0, 2.0)
 
 
 class TestLogTruncBetaMass:
@@ -236,7 +228,7 @@ class TestHalfNormalLogDensity:
 def test_determinism_bit_identical():
     calls = [
         lambda: log_gamma(123.456),
-        lambda: reg_inc_beta(0.37, 41.5, 17.25),
+        lambda: log_reg_inc_beta(0.37, 41.5, 17.25),
         lambda: log_trunc_beta_mass(5100.0, 4900.0, 0.5, 1.0),
     ]
     for call in calls:
