@@ -45,6 +45,20 @@ README = [
     ["glm", "--data", GLM_CSV, "--coef", "early_age", "--method", "laplace"],
     ["simulate", "--theta-star", "0", "--kappa2", "4", "--prior", "local:v=4",
      "--n-values", "10,50,200", "--mc", "100000"],
+    # a job for each remaining branch of the subcommand runners
+    ["normal", "--estimate", "-0.14", "--se", "0.064", "--prior", "global:m=-0.56,v=0.0144",
+     "--sweep", "global:m=-0.56,v=0.0144;global:m=0,v=0.04;local:v=0.0144;local:v=1"],
+    ["binomial", "--y", "178078", "--n", "350757", "--prior", "truncbeta:a=5100,b=4900,l=0.5,u=1",
+     "--sweep", "truncbeta:a=5100,b=4900,l=0.5,u=1;truncbeta:a=1,b=1,l=0.5,u=1"],
+    ["meta", "--data", META_CSV, "--theta-prior", "truncbeta:a=5100,b=4900,l=0.5,u=1",
+     "--tau-scale", "0.02", "--mode", "theta", "--sweep", "0.01,0.04"],
+    ["replication", "--yo", "0.205", "--so", "0.051", "--yr", "0.435", "--sr", "0.044",
+     "--k", "0.1,1,3"],
+    ["glm", "--data", GLM_CSV, "--coef", "early_age", "--method", "univariate-normal"],
+    ["glm", "--data", GLM_CSV, "--coef", "early_age", "--method", "mcmc",
+     "--samples", "40000", "--seed", "1"],
+    ["simulate", "--theta-star", "0.2", "--kappa2", "1.5", "--prior", "global:m=0.1,v=0.8",
+     "--theta0", "0,0.3", "--n-values", "25,100"],
 ]
 
 # runs inside each tree: reads the job list on stdin, writes outputs

@@ -17,7 +17,9 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import Callable
 
 import numpy as np
 
@@ -47,22 +49,16 @@ from .normal import (
     NormalSummary,
     PointShiftPrior,
     ReplicationPair,
-    log_bff_unitvariance,
     bff_threshold_prob,
+    log_bff_unitvariance,
     normal_bff,
     normal_closed_summaries,
     replication_bff,
     replication_posterior_hpd,
 )
 
-_MODES = ("joint", "theta", "tau")
-_METHODS = ("laplace", "mcmc", "univariate-normal")
 # simulate --mc draws at most this many values per (n, theta0) pair at once
 MAX_MC = 10_000_000
-
-
-class _CliError(DomainError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +71,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse's default error handler prints multi-line usage; the CLI
     # contract wants one machine-parsable line on stderr instead
     def error(self, message):
-        raise _CliError(message)
+        raise DomainError(message)
 
 
 def _fail(code: int, kind: str, exc: BaseException) -> int:
@@ -87,6 +83,15 @@ def _fail(code: int, kind: str, exc: BaseException) -> int:
 
 
 # ---------------------------------------------------------------- parsing
+
+
+# kind -> (prior class, required parameters, optional parameters)
+_PRIOR_KINDS = {
+    "global": (GlobalNormalPrior, ("m", "v"), ()),
+    "local": (LocalNormalPrior, ("v",), ()),
+    "point": (PointShiftPrior, ("d",), ()),
+    "truncbeta": (TruncBetaPrior, ("a", "b"), ("l", "u")),
+}
 
 
 def parse_prior_spec(spec: str):
@@ -109,61 +114,81 @@ def parse_prior_spec(spec: str):
                 kv[key.strip()] = float(val)
             except ValueError:
                 raise DomainError(f"non-numeric prior parameter {part!r} in {spec!r}") from None
-
-    def take(required, optional=()):
-        missing = [k for k in required if k not in kv]
-        extra = [k for k in kv if k not in required + tuple(optional)]
-        if missing or extra:
-            raise DomainError(
-                f"prior {spec!r}: missing {missing or 'nothing'}, unexpected {extra or 'nothing'}"
-            )
-
-    if kind == "global":
-        take(("m", "v"))
-        return GlobalNormalPrior(kv["m"], kv["v"])
-    if kind == "local":
-        take(("v",))
-        return LocalNormalPrior(kv["v"])
-    if kind == "point":
-        take(("d",))
-        return PointShiftPrior(kv["d"])
-    if kind == "truncbeta":
-        take(("a", "b"), optional=("l", "u"))
-        return TruncBetaPrior(kv["a"], kv["b"], kv.get("l", 0.0), kv.get("u", 1.0))
-    raise DomainError(f"unknown prior kind {kind!r} in {spec!r}")
+    if kind not in _PRIOR_KINDS:
+        raise DomainError(f"unknown prior kind {kind!r} in {spec!r}")
+    cls, required, optional = _PRIOR_KINDS[kind]
+    missing = [k for k in required if k not in kv]
+    extra = [k for k in kv if k not in required + optional]
+    if missing or extra:
+        raise DomainError(
+            f"prior {spec!r}: missing {missing or 'nothing'}, unexpected {extra or 'nothing'}"
+        )
+    return cls(**kv)
 
 
-def _float_list(val, name: str):
-    if isinstance(val, (list, tuple)):
-        out = [float(v) for v in val]
-    else:
+# Each option has one converter, run on its value whether it came from a
+# flag (a string) or from --config (any JSON value); `name` is the flag
+# without its dashes, for the error message.
+
+
+def _float(val, name: str) -> float:
+    # bool is an int subclass, but JSON true is no number
+    if isinstance(val, (int, float, str)) and not isinstance(val, bool):
         try:
-            out = [float(p) for p in str(val).split(",") if p.strip()]
-        except ValueError:
-            raise DomainError(f"--{name}: expected comma-separated numbers, got {val!r}") from None
-    if not out:
-        raise DomainError(f"--{name}: empty list")
-    return out
+            return float(val)
+        except (ValueError, OverflowError):
+            pass
+    raise DomainError(f"--{name}: expected a number, got {val!r}")
 
 
-def _grid_triplet(val, name: str):
-    if isinstance(val, (list, tuple)) and len(val) == 3:
-        lo, hi, n = float(val[0]), float(val[1]), int(val[2])
-    else:
-        parts = str(val).split(",")
-        if len(parts) != 3:
-            raise DomainError(f"--{name}: expected 'lo,hi,points', got {val!r}")
+def _count(val, name: str) -> int:
+    """A non-negative integer; a fraction is refused, not truncated."""
+    n = val
+    if isinstance(val, str):
         try:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            n = int(val)
         except ValueError:
-            raise DomainError(f"--{name}: expected 'lo,hi,points', got {val!r}") from None
-    return [lo, hi, n]
+            pass
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise DomainError(f"--{name}: expected a non-negative integer, got {val!r}")
+    return n
 
 
-def _str_list(val):
-    if isinstance(val, (list, tuple)):
-        return [str(v) for v in val]
-    return [p.strip() for p in str(val).split(";") if p.strip()]
+def _text(val, name: str) -> str:
+    if not isinstance(val, str):
+        raise DomainError(f"--{name}: expected a string, got {val!r}")
+    return val
+
+
+class _OneOf(tuple):
+    """Converter for an option that takes one of a fixed set of strings."""
+
+    def __call__(self, val, name: str) -> str:
+        if val not in self:
+            raise DomainError(f"--{name} must be one of {', '.join(self)}, got {val!r}")
+        return val
+
+
+def _list_of(item, sep=",", allow_empty=False):
+    """Converter for a JSON list, or a string of items split at `sep`."""
+
+    def convert(val, name: str) -> list:
+        if isinstance(val, str):
+            val = [p.strip() for p in val.split(sep) if p.strip()]
+        elif not isinstance(val, (list, tuple)):
+            val = [val]
+        if not (val or allow_empty):
+            raise DomainError(f"--{name}: empty list")
+        return [item(v, name) for v in val]
+
+    return convert
+
+
+def _grid_triplet(val, name: str) -> list:
+    parts = val.split(",") if isinstance(val, str) else val
+    if not isinstance(parts, (list, tuple)) or len(parts) != 3:
+        raise DomainError(f"--{name}: expected 'lo,hi,points', got {val!r}")
+    return [_float(parts[0], name), _float(parts[1], name), _count(parts[2], name)]
 
 
 # ---------------------------------------------------------------- output
@@ -186,10 +211,15 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_curve(path: str, curve, two_dim: bool):
-    lines = ["theta0,tau0,log_bf01" if two_dim else "theta0,log_bf01"]
-    for point, value in curve.rows():
-        lines.append(",".join(_fmt(c) for c in point) + "," + _fmt(value))
+def _write_curves(path: str, blocks, two_dim: bool):
+    """blocks: (label, curve) pairs; labels other than None fill a prior column."""
+    labelled = blocks[0][0] is not None
+    header = "theta0,tau0,log_bf01" if two_dim else "theta0,log_bf01"
+    lines = ["prior," + header if labelled else header]
+    for label, curve in blocks:
+        prefix = _csv_field(label) + "," if labelled else ""
+        for point, value in curve.rows():
+            lines.append(prefix + ",".join(_fmt(c) for c in point) + "," + _fmt(value))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -254,7 +284,7 @@ def _mee_json(mee):
     }
 
 
-def _write_summary(path: str, descriptor, mee, supports, warnings, config, extra=None):
+def _write_summary(path: str, descriptor, config, mee=None, supports=(), warnings=(), extra=None):
     record = {
         "descriptor": descriptor,
         "mee": _mee_json(mee) if mee is not None else None,
@@ -268,17 +298,6 @@ def _write_summary(path: str, descriptor, mee, supports, warnings, config, extra
     _atomic_write(path, json.dumps(record, indent=2, allow_nan=False) + "\n")
 
 
-def _collect_warnings(curve=None, mee=None, supports=()):
-    ws = []
-    if curve is not None:
-        ws.extend(curve.warnings)
-    if mee is not None and not mee.exists:
-        ws.append(f"boundary-mee: {mee.diagnostic}")
-    for s in supports:
-        ws.extend(s.warnings)
-    return ws
-
-
 def _csv_field(s: str) -> str:
     # prior labels contain commas; quote per RFC 4180
     if any(c in s for c in ',"\n'):
@@ -286,71 +305,115 @@ def _csv_field(s: str) -> str:
     return s
 
 
-def _write_sensitivity(path: str, blocks, two_dim: bool):
-    """blocks: iterable of (prior_label, curve)."""
-    header = "prior,theta0,tau0,log_bf01" if two_dim else "prior,theta0,log_bf01"
-    lines = [header]
-    for label, curve in blocks:
-        for point, value in curve.rows():
-            lines.append(
-                _csv_field(label) + "," + ",".join(_fmt(c) for c in point) + "," + _fmt(value)
-            )
-    _atomic_write(path, "\n".join(lines) + "\n")
+# ---------------------------------------------------------------- options
 
 
-# ---------------------------------------------------------------- config
+@dataclass(frozen=True, eq=False)
+class _Option:
+    """One option: its flag is --name with '-' for '_', its config key is name."""
+
+    name: str
+    convert: Callable  # (value, flag name) -> the checked value
+    default: object = None
+    help: str | None = None
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return self.name.replace("_", "-")
 
 
-def _build_config(args, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    path = getattr(args, "config", None)
-    if path:
-        with open(path, encoding="utf-8") as fh:
+_CONFIG = _Option("config", _text, help="JSON file mirroring the flags; explicit flags win")
+_OUT = _Option("out", _text, ".", "output directory (default .)")
+_K = _Option("k", _list_of(_float), [1.0], "comma-separated support levels (default 1)")
+_GRID = _Option("grid", _grid_triplet, help=f"evaluation grid 'lo,hi,points' (at most {MAX_GRID_POINTS} points)")
+_SWEEP = _Option("sweep", _list_of(_text, ";", allow_empty=True), [], "semicolon-separated prior specs for sensitivity.csv")
+_SEED = _Option("seed", _count, 1, "random seed (default 1)")
+# --help lists a subcommand's own options, then --config, --out and these
+_SHARED = (_K, _GRID, _SWEEP, _SEED)
+
+
+def _build_config(args, options) -> dict:
+    """Defaults, then the --config file, then the flags; every value checked."""
+    cfg = {o.name: o.default for o in options}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise DomainError(f"{path}: invalid JSON ({exc})") from None
+                raise DomainError(f"{args.config}: invalid JSON ({exc})") from None
         if not isinstance(loaded, dict):
-            raise DomainError(f"{path}: config must be a JSON object")
-        unknown = [k for k in loaded if k not in defaults and k != "subcommand"]
+            raise DomainError(f"{args.config}: config must be a JSON object")
+        loaded.pop("subcommand", None)
+        unknown = [k for k in loaded if k not in cfg]
         if unknown:
-            raise DomainError(f"{path}: unknown config keys {unknown}")
-        cfg.update({k: v for k, v in loaded.items() if k != "subcommand"})
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+            raise DomainError(f"{args.config}: unknown config keys {unknown}")
+        # a null value leaves the default in place
+        cfg.update((k, v) for k, v in loaded.items() if v is not None)
+    for o in options:
+        if getattr(args, o.name) is not None:
+            cfg[o.name] = getattr(args, o.name)
+    missing = [o for o in options if o.required and cfg[o.name] is None]
+    if missing:
+        raise DomainError(f"missing required option(s): {', '.join('--' + o.flag for o in missing)}")
+    for o in options:
+        if cfg[o.name] is not None:
+            cfg[o.name] = o.convert(cfg[o.name], o.flag)
     return cfg
 
 
-def _require(cfg: dict, *keys):
-    missing = [k for k in keys if cfg.get(k) is None]
-    if missing:
-        raise DomainError(f"missing required option(s): {', '.join('--' + m.replace('_', '-') for m in missing)}")
-
-
-def _echo(subcommand: str, cfg: dict) -> dict:
-    return {"subcommand": subcommand, **cfg}
-
-
 def _out_paths(cfg):
-    out = cfg.get("out") or "."
+    out = cfg["out"] or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
-# ---------------------------------------------------------------- normal
+# ---------------------------------------------------------------- subcommands
 
 
-_NORMAL_DEFAULTS = {
-    "estimate": None,
-    "se": None,
-    "prior": None,
-    "k": [1.0],
-    "grid": None,
-    "sweep": [],
-    "out": ".",
-}
+def _analyze(cmd, cfg, model, grid: GridSpec, sweep=(), extra=(), warnings=(), report=None) -> int:
+    """Analyze `model` on `grid`; write curve.csv, summary.json (plus `extra` and
+    `report(mee, supports)` blocks) and, for a (label, model) `sweep`, sensitivity.csv."""
+    curve, mee, supports = analyze(model, grid, cfg["k"])
+    extra = dict(extra)
+    two_dim = grid.dim == 2
+    if two_dim:
+        # a 2-D analysis contours support regions instead of bracketing sets
+        extra["support_regions"] = [
+            {
+                "k": k,
+                "label": _k_label(k),
+                "cells_inside": int(mask.sum()),
+                "contour_segments": [
+                    [[float(a), float(b)], [float(c), float(d)]]
+                    for (a, b), (c, d) in segments
+                ],
+            }
+            for k, (mask, segments) in zip(cfg["k"], supports)
+        ]
+        supports = []
+    if report is not None:
+        extra.update(report(mee, supports))
+    warnings = [*curve.warnings, *warnings]
+    if not mee.exists:
+        warnings.append(f"boundary-mee: {mee.diagnostic}")
+    for s in supports:
+        warnings.extend(s.warnings)
+    out = _out_paths(cfg)
+    _write_curves(os.path.join(out, "curve.csv"), [(None, curve)], two_dim)
+    _write_summary(
+        os.path.join(out, "summary.json"),
+        model.descriptor,
+        {"subcommand": cmd.name, **cfg},
+        mee,
+        supports,
+        warnings,
+        extra,
+    )
+    if sweep:
+        blocks = [(label, evaluate_curve(m, grid)) for label, m in sweep]
+        _write_curves(os.path.join(out, "sensitivity.csv"), blocks, two_dim)
+    return 0
 
 
 def _normal_auto_grid(data: NormalSummary, prior, ks) -> list:
@@ -372,302 +435,100 @@ def _normal_auto_grid(data: NormalSummary, prior, ks) -> list:
     return [y - width, y + width, 512]
 
 
-def _run_normal(args) -> int:
-    cfg = _build_config(args, _NORMAL_DEFAULTS)
-    _require(cfg, "estimate", "se", "prior")
-    ks = _float_list(cfg["k"], "k")
-    cfg["k"] = ks
-    data = NormalSummary(float(cfg["estimate"]), float(cfg["se"]))
+def _normal(cmd, cfg) -> int:
+    data = NormalSummary(cfg["estimate"], cfg["se"])
     prior = parse_prior_spec(cfg["prior"])
     if isinstance(prior, TruncBetaPrior):
         raise DomainError("the normal analysis takes global, local or point priors")
-    grid = _grid_triplet(cfg["grid"], "grid") if cfg["grid"] else _normal_auto_grid(data, prior, ks)
-    cfg["grid"] = grid
-    cfg["sweep"] = _str_list(cfg["sweep"]) if cfg["sweep"] else []
-
-    model = normal_bff(data, prior)
-    gs = GridSpec.one_dim(grid[0], grid[1], grid[2])
-    curve, mee, supports = analyze(model, gs, ks)
-    out = _out_paths(cfg)
-    _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=False)
-    _write_summary(
-        os.path.join(out, "summary.json"),
-        model.descriptor,
-        mee,
-        supports,
-        _collect_warnings(curve, mee, supports),
-        _echo("normal", cfg),
-    )
-    if cfg["sweep"]:
-        blocks = []
-        for spec in cfg["sweep"]:
-            p = parse_prior_spec(spec)
-            blocks.append((p.describe(), evaluate_curve(normal_bff(data, p), gs)))
-        _write_sensitivity(os.path.join(out, "sensitivity.csv"), blocks, two_dim=False)
-    return 0
+    grid = cfg["grid"] = cfg["grid"] or _normal_auto_grid(data, prior, cfg["k"])
+    sweep = [(p.describe(), normal_bff(data, p)) for p in map(parse_prior_spec, cfg["sweep"])]
+    return _analyze(cmd, cfg, normal_bff(data, prior), GridSpec.one_dim(*grid), sweep)
 
 
-# ---------------------------------------------------------------- binomial
+def _binomial(cmd, cfg) -> int:
+    data = BinomialData(cfg["y"], cfg["n"])
+    priors = [parse_prior_spec(spec) for spec in [cfg["prior"], *cfg["sweep"]]]
+    if not all(isinstance(p, TruncBetaPrior) for p in priors):
+        raise DomainError("the binomial analysis and its sweep take truncbeta priors")
+    # the default grid spans the coin-flip example's evidence
+    grid = cfg["grid"] = cfg["grid"] or [0.5, 0.515, 601]
+    sweep = [(p.describe(), binomial_bff(data, p)) for p in priors[1:]]
+    return _analyze(cmd, cfg, binomial_bff(data, priors[0]), GridSpec.one_dim(*grid), sweep)
 
 
-_BINOMIAL_DEFAULTS = {
-    "y": None,
-    "n": None,
-    "prior": None,
-    "k": [1.0],
-    "grid": [0.5, 0.515, 601],
-    "sweep": [],
-    "out": ".",
-}
-
-
-def _run_binomial(args) -> int:
-    cfg = _build_config(args, _BINOMIAL_DEFAULTS)
-    _require(cfg, "y", "n", "prior")
-    ks = _float_list(cfg["k"], "k")
-    cfg["k"] = ks
-    data = BinomialData(int(cfg["y"]), int(cfg["n"]))
-    prior = parse_prior_spec(cfg["prior"])
-    if not isinstance(prior, TruncBetaPrior):
-        raise DomainError("the binomial analysis takes a truncbeta prior")
-    grid = _grid_triplet(cfg["grid"], "grid")
-    cfg["grid"] = grid
-    cfg["sweep"] = _str_list(cfg["sweep"]) if cfg["sweep"] else []
-
-    model = binomial_bff(data, prior)
-    gs = GridSpec.one_dim(grid[0], grid[1], grid[2])
-    curve, mee, supports = analyze(model, gs, ks)
-    out = _out_paths(cfg)
-    _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=False)
-    _write_summary(
-        os.path.join(out, "summary.json"),
-        model.descriptor,
-        mee,
-        supports,
-        _collect_warnings(curve, mee, supports),
-        _echo("binomial", cfg),
-    )
-    if cfg["sweep"]:
-        blocks = []
-        for spec in cfg["sweep"]:
-            p = parse_prior_spec(spec)
-            if not isinstance(p, TruncBetaPrior):
-                raise DomainError("binomial sweep priors must be truncbeta")
-            blocks.append((p.describe(), evaluate_curve(binomial_bff(data, p), gs)))
-        _write_sensitivity(os.path.join(out, "sensitivity.csv"), blocks, two_dim=False)
-    return 0
-
-
-# ---------------------------------------------------------------- meta
-
-
-_META_DEFAULTS = {
-    "data": None,
-    "theta_prior": None,
-    "tau_scale": 0.02,
-    "mode": "joint",
-    "k": [1.0],
-    "theta_grid": None,
-    "tau_grid": None,
-    "sweep": [],
-    "out": ".",
-}
-
-
-def _meta_auto_grids(dataset, priors):
-    w = 1.0 / (dataset.std_errors**2 + priors.tau_scale**2)
-    center = float(np.sum(w * dataset.estimates) / np.sum(w))
-    spread = max(float(np.std(dataset.estimates)), math.sqrt(1.0 / float(np.sum(w))))
-    lo, hi = priors.theta_support()
-    t_lo = max(lo, center - 10.0 * spread)
-    t_hi = min(hi, center + 10.0 * spread)
-    tau_hi = 5.0 * max(priors.tau_scale, float(np.std(dataset.estimates)))
-    return [t_lo, t_hi, None], [0.0, tau_hi, None]
-
-
-def _run_meta(args) -> int:
-    cfg = _build_config(args, _META_DEFAULTS)
-    _require(cfg, "data", "theta_prior")
-    ks = _float_list(cfg["k"], "k")
-    cfg["k"] = ks
-    mode = str(cfg["mode"])
-    if mode not in _MODES:
-        raise DomainError(f"--mode must be one of {', '.join(_MODES)}, got {mode!r}")
+def _meta(cmd, cfg) -> int:
     dataset = read_meta_csv(cfg["data"])
     theta_prior = parse_prior_spec(cfg["theta_prior"])
     if isinstance(theta_prior, (LocalNormalPrior, PointShiftPrior)):
         raise DomainError("the meta analysis takes a truncbeta or global theta prior")
-    priors = MetaPriors(theta_prior, float(cfg["tau_scale"]))
-    sweep = [float(s) for s in (_float_list(cfg["sweep"], "sweep") if cfg["sweep"] else [])]
-    cfg["sweep"] = sweep
-
-    auto_theta, auto_tau = _meta_auto_grids(dataset, priors)
-    n_default = 101 if mode == "joint" else 512
-    theta_grid = _grid_triplet(cfg["theta_grid"], "theta-grid") if cfg["theta_grid"] else [auto_theta[0], auto_theta[1], n_default]
-    tau_grid = _grid_triplet(cfg["tau_grid"], "tau-grid") if cfg["tau_grid"] else [auto_tau[0], auto_tau[1], n_default]
-    cfg["theta_grid"], cfg["tau_grid"] = theta_grid, tau_grid
-
+    priors = MetaPriors(theta_prior, cfg["tau_scale"])
+    mode = cfg["mode"]
+    points = 101 if mode == "joint" else 512
+    w = 1.0 / (dataset.std_errors**2 + priors.tau_scale**2)
+    center = float(np.sum(w * dataset.estimates) / np.sum(w))
+    spread = max(float(np.std(dataset.estimates)), math.sqrt(1.0 / float(np.sum(w))))
+    lo, hi = priors.theta_support()
+    auto_theta = [max(lo, center - 10.0 * spread), min(hi, center + 10.0 * spread), points]
+    tau_hi = 5.0 * max(priors.tau_scale, float(np.std(dataset.estimates)))
+    theta_grid = cfg["theta_grid"] = cfg["theta_grid"] or auto_theta
+    tau_grid = cfg["tau_grid"] = cfg["tau_grid"] or [0.0, tau_hi, points]
+    # the grid is checked before the costly denominator
     if mode == "joint":
-        gs = GridSpec.two_dim(
-            (theta_grid[0], tau_grid[0]), (theta_grid[1], tau_grid[1]),
-            (theta_grid[2], tau_grid[2]),
-        )
+        gs = GridSpec.two_dim(*zip(theta_grid, tau_grid))
         build = meta_joint_bff
     elif mode == "theta":
-        gs = GridSpec.one_dim(theta_grid[0], theta_grid[1], theta_grid[2])
+        gs = GridSpec.one_dim(*theta_grid)
         build = meta_marginal_theta_bff
     else:
-        gs = GridSpec.one_dim(tau_grid[0], tau_grid[1], tau_grid[2])
+        gs = GridSpec.one_dim(*tau_grid)
         build = meta_marginal_tau_bff
-
     log_denom = meta_log_denominator(dataset, priors)
-    out = _out_paths(cfg)
-    extra = {"log_denominator": log_denom, "mode": mode}
+    sweep = [(f"tau-scale={s:g}", build(dataset, MetaPriors(theta_prior, s))) for s in cfg["sweep"]]
     model = build(dataset, priors, log_denominator=log_denom)
-    curve, mee, supports = analyze(model, gs, ks)
-    if mode == "joint":
-        extra["support_regions"] = [
-            {
-                "k": k,
-                "label": _k_label(k),
-                "cells_inside": int(mask.sum()),
-                "contour_segments": [
-                    [[float(a), float(b)], [float(c), float(d)]]
-                    for (a, b), (c, d) in segments
-                ],
-            }
-            for k, (mask, segments) in zip(ks, supports)
-        ]
-        supports = []
-    _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=mode == "joint")
-    _write_summary(
-        os.path.join(out, "summary.json"),
-        model.descriptor,
-        mee,
-        supports,
-        _collect_warnings(curve, mee, supports),
-        _echo("meta", cfg),
-        extra=extra,
-    )
-    if sweep:
-        blocks = [
-            (f"tau-scale={s:g}", evaluate_curve(build(dataset, MetaPriors(theta_prior, s)), gs))
-            for s in sweep
-        ]
-        _write_sensitivity(os.path.join(out, "sensitivity.csv"), blocks, two_dim=mode == "joint")
-    return 0
+    return _analyze(cmd, cfg, model, gs, sweep, {"log_denominator": log_denom, "mode": mode})
 
 
-# ---------------------------------------------------------------- replication
-
-
-_REPLICATION_DEFAULTS = {
-    "yo": None,
-    "so": None,
-    "yr": None,
-    "sr": None,
-    "k": [1.0],
-    "grid": None,
-    "out": ".",
-}
-
-
-def _run_replication(args) -> int:
-    cfg = _build_config(args, _REPLICATION_DEFAULTS)
-    _require(cfg, "yo", "so", "yr", "sr")
-    ks = _float_list(cfg["k"], "k")
-    cfg["k"] = ks
-    pair = ReplicationPair(float(cfg["yo"]), float(cfg["so"]), float(cfg["yr"]), float(cfg["sr"]))
+def _replication(cmd, cfg) -> int:
+    pair = ReplicationPair(cfg["yo"], cfg["so"], cfg["yr"], cfg["sr"])
     data, gprior = pair.as_global()
-    grid = _grid_triplet(cfg["grid"], "grid") if cfg["grid"] else _normal_auto_grid(data, gprior, ks)
-    cfg["grid"] = grid
-
-    model = replication_bff(pair)
-    gs = GridSpec.one_dim(grid[0], grid[1], grid[2])
-    curve, mee, supports = analyze(model, gs, ks)
+    grid = cfg["grid"] = cfg["grid"] or _normal_auto_grid(data, gprior, cfg["k"])
     mode, hpd = replication_posterior_hpd(pair)
-    out = _out_paths(cfg)
-    _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=False)
-    _write_summary(
-        os.path.join(out, "summary.json"),
-        model.descriptor,
-        mee,
-        supports,
-        _collect_warnings(curve, mee, supports),
-        _echo("replication", cfg),
-        extra={
-            "posterior": {
-                "mode": mode,
-                "hpd": {"lower": hpd.lower, "upper": hpd.upper, "level": 0.95},
-                "display": {
-                    "mode": _round2(mode),
-                    "hpd": f"[{_round2(hpd.lower)}, {_round2(hpd.upper)}]",
-                },
-            }
+    posterior = {
+        "mode": mode,
+        "hpd": {"lower": hpd.lower, "upper": hpd.upper, "level": 0.95},
+        "display": {
+            "mode": _round2(mode),
+            "hpd": f"[{_round2(hpd.lower)}, {_round2(hpd.upper)}]",
         },
-    )
-    return 0
+    }
+    return _analyze(cmd, cfg, replication_bff(pair), GridSpec.one_dim(*grid), extra={"posterior": posterior})
 
 
-# ---------------------------------------------------------------- glm
-
-
-_GLM_DEFAULTS = {
-    "data": None,
-    "coef": None,
-    "method": "laplace",
-    "prior_var": 0.5,
-    "samples": 200_000,
-    "seed": 1,
-    "k": [1.0],
-    "grid": None,
-    "out": ".",
-}
-
-
-def _run_glm(args) -> int:
-    cfg = _build_config(args, _GLM_DEFAULTS)
-    _require(cfg, "data", "coef")
-    ks = _float_list(cfg["k"], "k")
-    cfg["k"] = ks
-    method = str(cfg["method"])
-    if method not in _METHODS:
-        raise DomainError(f"--method must be one of {', '.join(_METHODS)}, got {method!r}")
+def _glm(cmd, cfg) -> int:
     dataset = read_glm_csv(cfg["data"])
-    j = dataset.coefficient_index(str(cfg["coef"]))
-    prior = GlmPrior(float(cfg["prior_var"]))
-    seed = int(cfg["seed"])
-    n_samples = int(cfg["samples"])
-
-    extra_warnings = []
-    samples = fit = None
+    j = dataset.coefficient_index(cfg["coef"])
+    prior = GlmPrior(cfg["prior_var"])
+    method, n_samples, seed = cfg["method"], cfg["samples"], cfg["seed"]
+    warnings, samples, fit = [], None, None
     if method == "mcmc":
         samples, info = metropolis_sample(dataset, prior, n_samples=n_samples, seed=seed)
-        extra_warnings.extend(info["warnings"])
-        center = float(np.mean(samples[:, j]))
-        spread = float(np.std(samples[:, j], ddof=1))
+        warnings = info["warnings"]
         auto = [float(np.min(samples[:, j])), float(np.max(samples[:, j])), 512]
-    elif method == "laplace":
-        fit = fit_map(dataset, prior)
-        center = float(fit.mode[j])
-        cov = np.linalg.inv(fit.neg_hessian)
-        spread = math.sqrt(float(cov[j, j]))
-        auto = [center - 8.0 * spread, center + 8.0 * spread, 512]
     else:
-        fit = fit_map(dataset, None)
-        cov = np.linalg.inv(fit.neg_hessian)
+        # univariate-normal reruns the normal analysis on the MLE
+        fit = fit_map(dataset, prior if method == "laplace" else None)
         center = float(fit.mode[j])
-        spread = math.sqrt(float(cov[j, j]))
+        spread = math.sqrt(float(np.linalg.inv(fit.neg_hessian)[j, j]))
         auto = [center - 8.0 * spread, center + 8.0 * spread, 512]
-
-    grid = _grid_triplet(cfg["grid"], "grid") if cfg["grid"] else auto
-    cfg["grid"] = grid
+    grid = cfg["grid"] = cfg["grid"] or auto
     model = glm_coefficient_bff(
         dataset, prior, j, method, n_samples=n_samples, seed=seed, samples=samples, fit=fit
     )
-    gs = GridSpec.one_dim(grid[0], grid[1], grid[2])
-    curve, mee, supports = analyze(model, gs, ks)
+    return _analyze(cmd, cfg, model, GridSpec.one_dim(*grid), warnings=warnings, report=_odds_ratios)
 
+
+def _odds_ratios(mee, supports) -> dict:
+    """The MEE and support sets of a log-odds coefficient on the odds-ratio scale."""
     or_block = None
     if mee.exists:
         or_block = {
@@ -690,61 +551,28 @@ def _run_glm(args) -> int:
                 ],
             }
         )
-    out = _out_paths(cfg)
-    _write_curve(os.path.join(out, "curve.csv"), curve, two_dim=False)
-    _write_summary(
-        os.path.join(out, "summary.json"),
-        model.descriptor,
-        mee,
-        supports,
-        _collect_warnings(curve, mee, supports) + extra_warnings,
-        _echo("glm", cfg),
-        extra={"odds_ratio": {"mee": or_block, "support_sets": or_supports}},
-    )
-    return 0
+    return {"odds_ratio": {"mee": or_block, "support_sets": or_supports}}
 
 
-# ---------------------------------------------------------------- simulate
-
-
-_SIMULATE_DEFAULTS = {
-    "theta_star": 0.0,
-    "kappa2": 1.0,
-    "prior": None,
-    "theta0": [0.0],
-    "n_values": [10, 50, 200],
-    "gamma_grid": [0.001, 20.0, 61],
-    "mc": 0,
-    "seed": 1,
-    "out": ".",
-}
-
-
-def _run_simulate(args) -> int:
-    cfg = _build_config(args, _SIMULATE_DEFAULTS)
-    _require(cfg, "prior")
+def _simulate(cmd, cfg) -> int:
     prior = parse_prior_spec(cfg["prior"])
     if not isinstance(prior, (GlobalNormalPrior, LocalNormalPrior)):
         raise DomainError("simulate takes a global or local normal prior")
-    theta_star = float(cfg["theta_star"])
-    kappa2 = float(cfg["kappa2"])
+    theta_star, kappa2 = cfg["theta_star"], cfg["kappa2"]
     if kappa2 <= 0.0:
         raise DomainError(f"kappa2 must be positive, got {kappa2}")
-    theta0s = _float_list(cfg["theta0"], "theta0")
-    n_values = [int(n) for n in _float_list(cfg["n_values"], "n-values")]
+    theta0s, n_values = cfg["theta0"], cfg["n_values"]
     if any(n < 1 for n in n_values):
         raise DomainError("n values must be positive integers")
-    g_lo, g_hi, g_n = _grid_triplet(cfg["gamma_grid"], "gamma-grid")
+    g_lo, g_hi, g_n = cfg["gamma_grid"]
     if not (0.0 < g_lo < g_hi) or not 2 <= g_n <= MAX_GRID_POINTS:
         raise DomainError(f"gamma grid needs 0 < lo < hi and 2 to {MAX_GRID_POINTS} points")
-    mc = int(cfg["mc"])
+    mc = cfg["mc"]
     if mc > MAX_MC:
         raise DomainError(f"--mc {mc} exceeds the cap of {MAX_MC} draws")
     gammas = np.exp(np.linspace(math.log(g_lo), math.log(g_hi), g_n))
-    seed = int(cfg["seed"])
-    cfg.update({"theta0": theta0s, "n_values": n_values, "gamma_grid": [g_lo, g_hi, g_n]})
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["seed"])
     header = "n,theta0,gamma,prob_bf_le_gamma" + (",mc_estimate" if mc > 0 else "")
     lines = [header]
     for n in n_values:
@@ -753,14 +581,7 @@ def _run_simulate(args) -> int:
             v = prior.v
             if mc > 0:
                 draws = rng.normal(theta_star, math.sqrt(kappa2 / n), size=mc)
-                b = t0 - m
-                center = draws - b * kappa2 / (n * v) - t0
-                log_bfs = 0.5 * (
-                    math.log1p(n * v / kappa2)
-                    + b * b / v
-                    - center**2 * v * n / (kappa2 * (v + kappa2 / n))
-                )
-                log_bfs.sort()
+                log_bfs = np.sort(log_bff_unitvariance(draws, t0, m, v, kappa2, n))
             for g in gammas:
                 p = bff_threshold_prob(float(g), t0, theta_star, m, v, kappa2, n)
                 row = f"{n},{_fmt(t0)},{_fmt(float(g))},{_fmt(p)}"
@@ -774,10 +595,7 @@ def _run_simulate(args) -> int:
         os.path.join(out, "summary.json"),
         f"bff-sampling-distribution(theta_star={theta_star:g}, kappa2={kappa2:g}, "
         f"prior={prior.describe()})",
-        None,
-        [],
-        [],
-        _echo("simulate", cfg),
+        {"subcommand": cmd.name, **cfg},
     )
     return 0
 
@@ -785,91 +603,94 @@ def _run_simulate(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-def _add_common(sp, *, k=True, grid=True, sweep=False, seed=False):
-    sp.add_argument("--config", help="JSON file mirroring the flags; explicit flags win")
-    sp.add_argument("--out", help="output directory (default .)")
-    if k:
-        sp.add_argument("--k", help="comma-separated support levels (default 1)")
-    if grid:
-        sp.add_argument("--grid", help=f"evaluation grid 'lo,hi,points' (at most {MAX_GRID_POINTS} points)")
-    if sweep:
-        sp.add_argument("--sweep", help="semicolon-separated prior specs for sensitivity.csv")
-    if seed:
-        sp.add_argument("--seed", type=int, help="random seed (default 1)")
+@dataclass(frozen=True)
+class _Command:
+    name: str
+    help: str
+    options: tuple  # in config-echo order; --out is echoed last
+    run: Callable  # (command, checked config) -> exit code
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {cmd.name: cmd for cmd in (
+    _Command("normal", "normal estimate with known standard error", (
+        _Option("estimate", _float, required=True),
+        _Option("se", _float, required=True),
+        _Option("prior", _text, help="global:m=..,v=.. | local:v=.. | point:d=..", required=True),
+        _K, _GRID, _SWEEP,
+    ), _normal),
+    _Command("binomial", "binomial proportion with truncated beta prior", (
+        _Option("y", _count, required=True),
+        _Option("n", _count, required=True),
+        _Option("prior", _text, help="truncbeta:a=..,b=..,l=..,u=..", required=True),
+        _K, _GRID, _SWEEP,
+    ), _binomial),
+    _Command("meta", "random-effects meta-analysis", (
+        _Option("data", _text, help="CSV with header id,estimate,se", required=True),
+        _Option("theta_prior", _text, help="truncbeta:.. or global:m=..,v=..", required=True),
+        _Option("tau_scale", _float, 0.02, "half-normal scale (default 0.02)"),
+        _Option("mode", _OneOf(("joint", "theta", "tau")), "joint",
+                "joint (2-D), theta or tau (default joint)"),
+        _K,
+        _Option("theta_grid", _grid_triplet, help=f"'lo,hi,points'; the grid has at most {MAX_GRID_POINTS} points"),
+        _Option("tau_grid", _grid_triplet, help=f"'lo,hi,points'; the grid has at most {MAX_GRID_POINTS} points"),
+        _Option("sweep", _list_of(_float, allow_empty=True), [], "comma-separated tau scales for sensitivity.csv"),
+    ), _meta),
+    _Command("replication", "replication study against the original", (
+        _Option("yo", _float, help="original estimate", required=True),
+        _Option("so", _float, help="original standard error", required=True),
+        _Option("yr", _float, help="replication estimate", required=True),
+        _Option("sr", _float, help="replication standard error", required=True),
+        _K, _GRID,
+    ), _replication),
+    _Command("glm", "logistic regression coefficient", (
+        _Option("data", _text, help="CSV with 'outcome' column plus covariates", required=True),
+        _Option("coef", _text, help="coefficient (column) name to test", required=True),
+        _Option("method", _OneOf(("laplace", "mcmc", "univariate-normal")), "laplace"),
+        _Option("prior_var", _float, 0.5, "prior variance (default 0.5)"),
+        _Option("samples", _count, 200_000,
+                f"MCMC draws for --method mcmc (default 200000, at most {MAX_SAMPLES})"),
+        _SEED, _K, _GRID,
+    ), _glm),
+    _Command("simulate", "sampling distribution of the BFF", (
+        _Option("theta_star", _float, 0.0, "true mean (default 0)"),
+        _Option("kappa2", _float, 1.0, "per-observation variance (default 1)"),
+        _Option("prior", _text, help="local:v=.. or global:m=..,v=..", required=True),
+        _Option("theta0", _list_of(_float), [0.0], "comma-separated tested values (default 0)"),
+        _Option("n_values", _list_of(_count), [10, 50, 200], "comma-separated sample sizes (default 10,50,200)"),
+        _Option("gamma_grid", _grid_triplet, [0.001, 20.0, 61],
+                f"'lo,hi,points', log-spaced (default 0.001,20,61, at most {MAX_GRID_POINTS} points)"),
+        _Option("mc", _count, 0,
+                f"Monte Carlo draws for an empirical column (default off, at most {MAX_MC})"),
+        _SEED,
+    ), _simulate),
+)}
+
+def build_parser(names=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The bff parser, holding the named subcommands."""
     parser = _Parser(prog="bff", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"bff {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sp = subs.add_parser("normal", help="normal estimate with known standard error")
-    sp.add_argument("--estimate", type=float)
-    sp.add_argument("--se", type=float)
-    sp.add_argument("--prior", help="global:m=..,v=.. | local:v=.. | point:d=..")
-    _add_common(sp, sweep=True)
-    sp.set_defaults(func=_run_normal)
-
-    sp = subs.add_parser("binomial", help="binomial proportion with truncated beta prior")
-    sp.add_argument("--y", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--prior", help="truncbeta:a=..,b=..,l=..,u=..")
-    _add_common(sp, sweep=True)
-    sp.set_defaults(func=_run_binomial)
-
-    sp = subs.add_parser("meta", help="random-effects meta-analysis")
-    sp.add_argument("--data", help="CSV with header id,estimate,se")
-    sp.add_argument("--theta-prior", dest="theta_prior", help="truncbeta:.. or global:m=..,v=..")
-    sp.add_argument("--tau-scale", dest="tau_scale", type=float, help="half-normal scale (default 0.02)")
-    sp.add_argument("--mode", choices=_MODES, help="joint (2-D), theta or tau (default joint)")
-    grid_cap = f"; the grid has at most {MAX_GRID_POINTS} points"
-    sp.add_argument("--theta-grid", dest="theta_grid", help="'lo,hi,points'" + grid_cap)
-    sp.add_argument("--tau-grid", dest="tau_grid", help="'lo,hi,points'" + grid_cap)
-    sp.add_argument("--sweep", help="comma-separated tau scales for sensitivity.csv")
-    _add_common(sp, grid=False)
-    sp.set_defaults(func=_run_meta)
-
-    sp = subs.add_parser("replication", help="replication study against the original")
-    sp.add_argument("--yo", type=float, help="original estimate")
-    sp.add_argument("--so", type=float, help="original standard error")
-    sp.add_argument("--yr", type=float, help="replication estimate")
-    sp.add_argument("--sr", type=float, help="replication standard error")
-    _add_common(sp)
-    sp.set_defaults(func=_run_replication)
-
-    sp = subs.add_parser("glm", help="logistic regression coefficient")
-    sp.add_argument("--data", help="CSV with 'outcome' column plus covariates")
-    sp.add_argument("--coef", help="coefficient (column) name to test")
-    sp.add_argument("--method", choices=_METHODS)
-    sp.add_argument("--prior-var", dest="prior_var", type=float, help="prior variance (default 0.5)")
-    sp.add_argument("--samples", type=int,
-                    help=f"MCMC draws for --method mcmc (default 200000, at most {MAX_SAMPLES})")
-    _add_common(sp, seed=True)
-    sp.set_defaults(func=_run_glm)
-
-    sp = subs.add_parser("simulate", help="sampling distribution of the BFF")
-    sp.add_argument("--theta-star", dest="theta_star", type=float, help="true mean (default 0)")
-    sp.add_argument("--kappa2", type=float, help="per-observation variance (default 1)")
-    sp.add_argument("--prior", help="local:v=.. or global:m=..,v=..")
-    sp.add_argument("--theta0", help="comma-separated tested values (default 0)")
-    sp.add_argument("--n-values", dest="n_values", help="comma-separated sample sizes (default 10,50,200)")
-    sp.add_argument("--gamma-grid", dest="gamma_grid", help=f"'lo,hi,points', log-spaced (default 0.001,20,61, at most {MAX_GRID_POINTS} points)")
-    sp.add_argument("--mc", type=int,
-                    help=f"Monte Carlo draws for an empirical column (default off, at most {MAX_MC})")
-    _add_common(sp, k=False, grid=False, seed=True)
-    sp.set_defaults(func=_run_simulate)
-
+    for name in names:
+        cmd = _COMMANDS[name]
+        sp = subs.add_parser(name, help=cmd.help)
+        own = [o for o in cmd.options if o not in _SHARED]
+        shared = [o for o in _SHARED if o in cmd.options]
+        for o in own + [_CONFIG, _OUT] + shared:
+            choices = "{" + ",".join(o.convert) + "}" if isinstance(o.convert, _OneOf) else None
+            sp.add_argument("--" + o.flag, dest=o.name, metavar=choices, help=o.help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named subcommand's parser is built; for --help, --version, no
+    # argument or an unknown name all are, so usage and errors list each one
+    names = argv[:1] if argv and argv[0] in _COMMANDS else tuple(_COMMANDS)
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except (_CliError, ContractError, DomainError) as exc:
-        return _fail(2, "invalid-input", exc)
-    except OSError as exc:
+        args = build_parser(names).parse_args(argv)
+        cmd = _COMMANDS[args.subcommand]
+        return cmd.run(cmd, _build_config(args, cmd.options + (_OUT,)))
+    except (ContractError, DomainError, OSError) as exc:
         return _fail(2, "invalid-input", exc)
     except NumericalError as exc:
         return _fail(3, "numerical-failure", exc)

@@ -7,6 +7,7 @@ written to --out are exercised exactly as a shell user sees them.
 import csv
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,13 @@ class TestNormal:
         assert main(["normal", "--config", str(cfg_path), "--out", str(second)]) == 0
         assert (first / "curve.csv").read_bytes() == (second / "curve.csv").read_bytes()
         assert not list(second.glob(".bff-*"))  # atomic writes leave no temp files
+
+    def test_config_int_for_float_option_is_echoed_as_float(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"estimate": 1, "se": 2, "prior": "local:v=1"}))
+        assert main(["normal", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        echo = _summary(tmp_path)["config"]
+        assert isinstance(echo["estimate"], float) and isinstance(echo["se"], float)
 
     def test_small_k_gets_conservative_label(self, tmp_path):
         assert main(RECOVERY + ["--k", "0.05,1", "--out", str(tmp_path)]) == 0
@@ -267,6 +275,76 @@ class TestErrorPaths:
         with pytest.raises(SystemExit):
             main(["--version"])
         assert capsys.readouterr().out.strip() == f"bff {__version__}"
+
+    # (argv, config key, a bad value for it, the same value as a flag or None
+    # where no flag can carry it): a flag and a config value pass the same check
+    @pytest.mark.parametrize("argv, key, value, flag_value", [
+        (["normal", "--se", "1", "--prior", "local:v=1"], "estimate", "x", "x"),
+        (RECOVERY, "k", [1, "a"], "1,a"),
+        (RECOVERY, "grid", [0, 1, "x"], "0,1,x"),
+        (["binomial", "--n", "20", "--prior", "truncbeta:a=1,b=1"], "y", 10.7, "10.7"),
+        (["binomial", "--y", "10", "--prior", "truncbeta:a=1,b=1"], "n", 20.5, "20.5"),
+        (["glm", "--data", str(neonatal_births_path()), "--coef", "early_age"],
+         "samples", 1000.5, "1000.5"),
+        (["glm", "--data", str(neonatal_births_path()), "--coef", "early_age"], "seed", 1.5, "1.5"),
+        (["simulate", "--prior", "local:v=1"], "mc", 100.5, "100.5"),
+        (["simulate", "--prior", "local:v=1"], "n_values", [10.5], "10.5"),
+        (["meta", "--theta-prior", "truncbeta:a=1,b=1"], "data", 5, None),
+    ], ids=["estimate", "k", "grid", "y", "n", "samples", "seed", "mc", "n-values", "data"])
+    def test_bad_value_refused_from_flag_and_config(self, capsys, tmp_path, argv, key, value,
+                                                    flag_value):
+        option = "--" + key.replace("_", "-")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        runs = [argv + ["--config", str(cfg)]]
+        if flag_value is not None:
+            runs.append(argv + [option, flag_value])
+        for args in runs:
+            assert main(args + ["--out", str(tmp_path)]) == 2
+            assert option in _stderr_record(capsys, 2)["message"]
+            assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--prior", "local:v=1", "--mc", "100", "--seed", "-1"],
+        ["glm", "--data", str(neonatal_births_path()), "--coef", "early_age", "--method", "mcmc",
+         "--samples", "1000", "--seed", "-1"],
+        ["simulate", "--prior", "local:v=1", "--mc", "-5"],
+    ], ids=["simulate-seed", "glm-seed", "simulate-mc"])
+    def test_negative_seed_and_mc_refused_before_sampling(self, capsys, monkeypatch, tmp_path,
+                                                          args):
+        import bff.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started for a refused value")
+
+        monkeypatch.setattr(bff.cli, "metropolis_sample", never)
+        monkeypatch.setattr(np.random, "default_rng", never)
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert args[-2] in _stderr_record(capsys, 2)["message"]
+        assert not (tmp_path / "summary.json").exists()
+
+
+class TestHelp:
+    def test_top_level_help_names_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        for sub in ("normal", "binomial", "meta", "replication", "glm", "simulate"):
+            assert re.search(rf"^    {sub} +\S", out, re.M), sub
+
+    @pytest.mark.parametrize("sub, options", [
+        ("normal", "estimate se prior k grid sweep"),
+        ("binomial", "y n prior k grid sweep"),
+        ("meta", "data theta-prior tau-scale mode k theta-grid tau-grid sweep"),
+        ("replication", "yo so yr sr k grid"),
+        ("glm", "data coef method prior-var samples seed k grid"),
+        ("simulate", "theta-star kappa2 prior theta0 n-values gamma-grid mc seed"),
+    ])
+    def test_subcommand_help_lists_exactly_its_options(self, capsys, sub, options):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        listed = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        assert listed == {"--help", "--config", "--out", *("--" + o for o in options.split())}
 
 
 class TestBinomial:
