@@ -59,6 +59,12 @@ README = [
      "--samples", "40000", "--seed", "1"],
     ["simulate", "--theta-star", "0.2", "--kappa2", "1.5", "--prior", "global:m=0.1,v=0.8",
      "--theta0", "0,0.3", "--n-values", "25,100"],
+    # MEE refinement of a curve with nine grid-local maxima, and contours
+    # of three levels on the default 101 x 101 joint grid
+    ["glm", "--data", GLM_CSV, "--coef", "early_age", "--method", "mcmc",
+     "--samples", "40000", "--seed", "3"],
+    ["meta", "--data", META_CSV, "--theta-prior", "truncbeta:a=5100,b=4900,l=0.5,u=1",
+     "--tau-scale", "0.02", "--mode", "joint", "--k", "0.5,1,3"],
 ]
 
 # runs inside each tree: reads the job list on stdin, writes outputs

@@ -13,7 +13,10 @@ and the support sets of every level off that curve; `find_mee`,
 `support_set` and `support_region` are one-summary views of it.  Models
 are vectorized: a 1-D `log_bff` maps an array of theta0 values to one
 value each, and a 2-D one maps a (2, N) array (rows theta0 and tau0) to
-N values.  Refinement calls the model on scalars or single points too.
+N values.  Refinement keeps to arrays: the golden sections of all grid
+maxima, like the bisections of all level crossings, advance together one
+model call per step, and a single point goes to the model as a one-point
+array.
 """
 
 from __future__ import annotations
@@ -125,10 +128,10 @@ class GridSpec:
 class BffModel:
     """log BF01 as a function of the tested value, plus domain metadata.
 
-    For dim 1 `log_bff` must accept a float or a 1-D array; for dim 2 it
-    takes a (2, N) array whose rows are theta0 and tau0, or a single
-    length-2 point, so `p[0]` and `p[1]` serve both.  An array input must
-    give one value per point.  `lower_closed`/`upper_closed` mark finite
+    The engine calls `log_bff` on arrays only: for dim 1 a 1-D array of
+    theta0 values, for dim 2 a (2, N) array whose rows are theta0 and
+    tau0; a single point is a one-point array.  It must give one value
+    per point.  `lower_closed`/`upper_closed` mark finite
     domain endpoints that belong to the parameter space (a maximum there
     is a genuine MEE, not a truncation artifact).
     """
@@ -213,12 +216,18 @@ class SupportSet:
 
 def _eval_many(model: BffModel, points: np.ndarray) -> np.ndarray:
     """One model call on a batch: a 1-D array of theta0 values, or a
-    (2, N) array whose rows are theta0 and tau0.  One value per point."""
+    (2, N) array whose rows are theta0 and tau0.  One value per point.
+
+    A NumericalError is redone one point at a time (still as one-point
+    arrays), so that the failure names the grid point it comes from."""
     try:
         out = np.asarray(model.log_bff(points), dtype=float)
-    except NumericalError:
-        # redo pointwise so the failure names the grid point
-        return np.array([_eval_guarded(model, p) for p in points.reshape(model.dim, -1).T])
+    except NumericalError as exc:
+        if points.shape[-1] > 1:
+            singles = np.split(points, points.shape[-1], axis=-1)
+            return np.concatenate([_eval_many(model, p) for p in singles])
+        label = float(points[0]) if model.dim == 1 else tuple(float(v) for v in points[:, 0])
+        raise NumericalError(f"{exc} (at grid point {label})") from exc
     if out.shape != points.shape[-1:]:
         raise ContractError(
             f"model {model.descriptor!r} returned shape {out.shape} for "
@@ -250,40 +259,29 @@ def evaluate_curve(model: BffModel, grid: GridSpec) -> BffCurve:
     return BffCurve(axes=axes, log_bf=values, descriptor=model.descriptor, warnings=warnings)
 
 
-def _eval_guarded(model: BffModel, point) -> float:
-    """The model at one point, given as a 1- or 2-sequence."""
-    try:
-        if model.dim == 1:
-            return float(model.log_bff(float(point[0])))
-        return float(model.log_bff(np.asarray(point, dtype=float)))
-    except NumericalError as exc:
-        label = float(point[0]) if model.dim == 1 else tuple(float(v) for v in point)
-        raise NumericalError(f"{exc} (at grid point {label})") from exc
+def _golden_sections(model: BffModel, a: np.ndarray, b: np.ndarray, tol: float):
+    """Golden-section maximization of log BF01 on every bracket [a, b].
 
-
-def _is_local_max(vals: np.ndarray, i: int) -> bool:
-    left = vals[i - 1] if i > 0 else -np.inf
-    right = vals[i + 1] if i < len(vals) - 1 else -np.inf
-    return np.isfinite(vals[i]) and vals[i] >= left and vals[i] >= right
-
-
-def _golden_max(f, a: float, b: float, tol: float):
-    """Golden-section maximization on [a, b]; returns (x, f(x))."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+    Each bracket follows the one-bracket rule and stops once narrower
+    than tol; each step evaluates the new probe of every bracket still
+    open in one model call.  Returns the (x, log BF01) arrays of the
+    probes the brackets end on.  Updates a and b in place.
+    """
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = _eval_many(model, x1), _eval_many(model, x2)
+    while (open_ := np.flatnonzero(b - a > tol)).size:
+        up = f1[open_] < f2[open_]
+        u, d = open_[up], open_[~up]
+        # climbing: keep [x1, b], whose lower probe is the old upper one
+        a[u], x1[u], f1[u] = x1[u], x2[u], f2[u]
+        x2[u] = a[u] + _GOLDEN * (b[u] - a[u])
+        # otherwise keep [a, x2], whose upper probe is the old lower one
+        b[d], x2[d], f2[d] = x2[d], x1[d], f1[d]
+        x1[d] = b[d] - _GOLDEN * (b[d] - a[d])
+        f_new = _eval_many(model, np.where(up, x2[open_], x1[open_]))
+        f2[u], f1[d] = f_new[up], f_new[~up]
+    first = f1 >= f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
 def analyze(model: BffModel, grid: GridSpec, ks: Sequence[float] = ()):
@@ -292,8 +290,8 @@ def analyze(model: BffModel, grid: GridSpec, ks: Sequence[float] = ()):
     Returns (curve, mee, supports).  For a 1-D model `supports` holds one
     SupportSet per level in `ks`; for a 2-D model one (mask, segments)
     pair per level (see `support_region`).  The MEE is refined from the
-    curve's grid maxima; the crossings of every level are bisected
-    together, one model call per step.
+    curve's grid maxima, all golden sections together; the crossings of
+    every level are bisected together; each takes one model call per step.
     """
     for k in ks:
         if not (k > 0.0 and math.isfinite(k)):
@@ -329,85 +327,93 @@ def _boundary_is_artificial(model: BffModel, dim_idx: int, side: str, edge: floa
     return True
 
 
-def _find_mee_1d(model: BffModel, grid: GridSpec, curve: BffCurve) -> MeeResult:
-    xs = curve.axes[0]
-    vals = curve.log_bf
-    finite = np.isfinite(vals)
+def _masked_values(curve: BffCurve) -> np.ndarray:
+    """The curve's log BF01 with every non-finite value at -inf."""
+    finite = np.isfinite(curve.log_bf)
     if not finite.any():
         raise NumericalError("log BF01 is not finite anywhere on the search grid")
-    masked = np.where(finite, vals, -np.inf)
+    return np.where(finite, curve.log_bf, -np.inf)
+
+
+def _mee(theta_hat, log_k_me: float) -> MeeResult:
+    # a log k_ME beyond ln(float max) gives k_ME = inf, a value, not a fault
+    with np.errstate(over="ignore"):
+        k_me = float(np.exp(log_k_me))
+    return MeeResult(
+        exists=True,
+        theta_hat=tuple(float(v) for v in theta_hat),
+        k_me=k_me,
+        log_k_me=float(log_k_me),
+        boundary=False,
+    )
+
+
+def _no_mee(boundary: str) -> MeeResult:
+    return MeeResult(
+        exists=False,
+        theta_hat=None,
+        k_me=None,
+        log_k_me=None,
+        boundary=True,
+        diagnostic=(
+            f"log BF01 is still increasing at the {boundary}; no maximum "
+            f"evidence estimate in the searched region"
+        ),
+    )
+
+
+def _find_mee_1d(model: BffModel, grid: GridSpec, curve: BffCurve) -> MeeResult:
+    xs = curve.axes[0]
+    masked = _masked_values(curve)
     n = len(xs)
     step = xs[1] - xs[0]
     tol = 1e-8 * (grid.upper[0] - grid.lower[0])
-    f = lambda x: _eval_guarded(model, (x,))
 
-    # refine every grid-local maximum; the global one wins
-    candidates = [i for i in range(n) if _is_local_max(masked, i)]
+    # refine every grid-local maximum (the finite global one is among
+    # them); the first highest refinement wins if it beats the grid
+    padded = np.concatenate([[-np.inf], masked, [-np.inf]])
+    peaks = np.flatnonzero(np.isfinite(masked) & (masked >= padded[:-2]) & (masked >= padded[2:]))
+    x_ref, f_ref = _golden_sections(
+        model, xs[np.maximum(peaks - 1, 0)], xs[np.minimum(peaks + 1, n - 1)], tol
+    )
+    best = int(np.argmax(np.where(np.isnan(f_ref), -np.inf, f_ref)))
     i_star = int(np.argmax(masked))
-    if i_star not in candidates:
-        candidates.append(i_star)
     x_hat, f_hat = float(xs[i_star]), float(masked[i_star])
-    for i in candidates:
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, n - 1)]
-        x_ref, f_ref = _golden_max(f, float(lo), float(hi), tol)
-        if f_ref > f_hat:
-            x_hat, f_hat = x_ref, f_ref
+    if f_ref[best] > f_hat:
+        x_hat, f_hat = float(x_ref[best]), float(f_ref[best])
 
     for side, edge in (("lower", float(xs[0])), ("upper", float(xs[-1]))):
-        near = abs(x_hat - edge) <= step
-        if not near:
+        if abs(x_hat - edge) > step:
             continue
         h = max(tol, 1e-7 * (grid.upper[0] - grid.lower[0]))
         inward = edge + h if side == "lower" else edge - h
-        climbing = f(edge) > f(inward)
-        if climbing and _boundary_is_artificial(model, 0, side, edge):
-            return MeeResult(
-                exists=False,
-                theta_hat=None,
-                k_me=None,
-                log_k_me=None,
-                boundary=True,
-                diagnostic=(
-                    f"log BF01 is still increasing at the {side} search boundary "
-                    f"{edge:g}; no maximum evidence estimate in the searched region"
-                ),
-            )
-    return MeeResult(
-        exists=True,
-        theta_hat=(float(x_hat),),
-        k_me=float(np.exp(f_hat)),
-        log_k_me=float(f_hat),
-        boundary=False,
-    )
+        f_edge, f_inward = _eval_many(model, np.array([edge, inward]))
+        if f_edge > f_inward and _boundary_is_artificial(model, 0, side, edge):
+            return _no_mee(f"{side} search boundary {edge:g}")
+    return _mee((x_hat,), f_hat)
 
 
 def _find_mee_2d(model: BffModel, grid: GridSpec, curve: BffCurve) -> MeeResult:
     from scipy import optimize
 
     t_ax, u_ax = curve.axes
-    vals = curve.log_bf
-    finite = np.isfinite(vals)
-    if not finite.any():
-        raise NumericalError("log BF01 is not finite anywhere on the search grid")
-    masked = np.where(finite, vals, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(masked)), vals.shape)
+    masked = _masked_values(curve)
+    i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
     x0 = np.array([t_ax[i], u_ax[j]])
     lo = np.array(grid.lower)
     hi = np.array(grid.upper)
 
     def neg(p):
-        q = np.clip(p, lo, hi)
-        return -_eval_guarded(model, q)
+        return -float(_eval_many(model, np.clip(p, lo, hi).reshape(2, 1))[0])
 
     res = optimize.minimize(
         neg, x0, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000}
     )
     p_hat = np.clip(res.x, lo, hi)
     f_hat = -neg(p_hat)
-    if vals[i, j] > f_hat:
+    if masked[i, j] > f_hat:
         p_hat = x0
-        f_hat = float(vals[i, j])
+        f_hat = float(masked[i, j])
 
     steps = (t_ax[1] - t_ax[0], u_ax[1] - u_ax[0])
     for d in range(2):
@@ -415,31 +421,13 @@ def _find_mee_2d(model: BffModel, grid: GridSpec, curve: BffCurve) -> MeeResult:
             if abs(p_hat[d] - edge) > steps[d]:
                 continue
             h = max(1e-8 * (grid.upper[d] - grid.lower[d]), 1e-12)
-            at_edge = p_hat.copy()
-            at_edge[d] = edge
-            inward = at_edge.copy()
-            inward[d] = edge + h if side == "lower" else edge - h
-            climbing = _eval_guarded(model, at_edge) > _eval_guarded(model, inward)
-            if climbing and _boundary_is_artificial(model, d, side, edge):
-                return MeeResult(
-                    exists=False,
-                    theta_hat=None,
-                    k_me=None,
-                    log_k_me=None,
-                    boundary=True,
-                    diagnostic=(
-                        f"log BF01 is still increasing at the {side} search boundary "
-                        f"of dimension {d} ({edge:g}); no maximum evidence estimate "
-                        f"in the searched region"
-                    ),
-                )
-    return MeeResult(
-        exists=True,
-        theta_hat=tuple(float(v) for v in p_hat),
-        k_me=float(np.exp(f_hat)),
-        log_k_me=float(f_hat),
-        boundary=False,
-    )
+            # columns: p_hat moved onto the edge, and h inward from it
+            pair = np.repeat(p_hat[:, None], 2, axis=1)
+            pair[d] = edge, edge + h if side == "lower" else edge - h
+            f_edge, f_inward = _eval_many(model, pair)
+            if f_edge > f_inward and _boundary_is_artificial(model, d, side, edge):
+                return _no_mee(f"{side} search boundary of dimension {d} ({edge:g})")
+    return _mee(p_hat, f_hat)
 
 
 def _bisect_crossings(model, lo, hi, f_lo, f_hi, target, tol: float) -> np.ndarray:
@@ -546,41 +534,27 @@ def _support_region(curve: BffCurve, k: float):
     g = np.where(np.isnan(g), -np.inf, g)
     mask = g >= 0.0
 
-    def interp(x1, x2, v1, v2):
-        if v1 == v2:
-            return 0.5 * (x1 + x2)
-        w = v1 / (v1 - v2)
-        return x1 + w * (x2 - x1)
+    # each cell's corners (i, j), (i+1, j), (i+1, j+1), (i, j+1), and its
+    # edges bottom, right, top, left as (low end, high end) corner values
+    c = np.stack([g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]], axis=-1)
+    v1, v2 = c[..., [0, 1, 3, 0]], c[..., [1, 2, 2, 3]]
+    cross = ((v1 >= 0.0) != (v2 >= 0.0)) & np.isfinite(v1) & np.isfinite(v2)
+    # a cell with a +inf corner draws nothing
+    cross &= ~np.any(c == np.inf, axis=-1, keepdims=True)
+    # crossings ordered by cell (row-major), then edge
+    i, j, e = np.nonzero(cross)
+    w = v1[i, j, e] / (v1[i, j, e] - v2[i, j, e])
+    along_x = e % 2 == 0
+    lo = np.where(along_x, t_ax[i], u_ax[j])
+    hi = np.where(along_x, t_ax[i + 1], u_ax[j + 1])
+    cut = lo + w * (hi - lo)
+    fixed = np.choose(e, [u_ax[j], t_ax[i + 1], u_ax[j + 1], t_ax[i]])
+    pts = np.stack([np.where(along_x, cut, fixed), np.where(along_x, fixed, cut)], axis=-1).tolist()
 
-    segments = []
-    for i in range(len(t_ax) - 1):
-        for j in range(len(u_ax) - 1):
-            corners = (g[i, j], g[i + 1, j], g[i + 1, j + 1], g[i, j + 1])
-            if not all(np.isfinite(c) or c == -np.inf for c in corners):
-                continue
-            signs = [c >= 0.0 for c in corners]
-            if all(signs) or not any(signs):
-                continue
-            x_lo, x_hi = t_ax[i], t_ax[i + 1]
-            y_lo, y_hi = u_ax[j], u_ax[j + 1]
-            pts = []
-            # edge (i,j)-(i+1,j)
-            if signs[0] != signs[1] and np.isfinite(corners[0]) and np.isfinite(corners[1]):
-                pts.append((interp(x_lo, x_hi, corners[0], corners[1]), y_lo))
-            # edge (i+1,j)-(i+1,j+1)
-            if signs[1] != signs[2] and np.isfinite(corners[1]) and np.isfinite(corners[2]):
-                pts.append((x_hi, interp(y_lo, y_hi, corners[1], corners[2])))
-            # edge (i,j+1)-(i+1,j+1)
-            if signs[3] != signs[2] and np.isfinite(corners[3]) and np.isfinite(corners[2]):
-                pts.append((interp(x_lo, x_hi, corners[3], corners[2]), y_hi))
-            # edge (i,j)-(i,j+1)
-            if signs[0] != signs[3] and np.isfinite(corners[0]) and np.isfinite(corners[3]):
-                pts.append((x_lo, interp(y_lo, y_hi, corners[0], corners[3])))
-            if len(pts) >= 2:
-                segments.append((pts[0], pts[1]))
-            if len(pts) == 4:
-                segments.append((pts[2], pts[3]))
-    return mask, segments
+    # a cell's first two crossings make a segment, and a saddle's last two
+    _, first, count = np.unique(i * (len(u_ax) - 1) + j, return_index=True, return_counts=True)
+    starts = np.sort(np.concatenate([first[count >= 2], first[count == 4] + 2]))
+    return mask, [(tuple(pts[s]), tuple(pts[s + 1])) for s in starts]
 
 
 def savage_dickey_bff(posterior: DensityFn, prior: DensityFn) -> BffModel:

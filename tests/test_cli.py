@@ -9,6 +9,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ def _stderr_record(capsys, expect_code):
     assert set(rec) == {"error", "exit_code", "message"}
     assert rec["exit_code"] == expect_code
     return rec
+
+
+def _main_without_warnings(argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code
 
 
 RECOVERY = ["normal", "--estimate", "-0.14", "--se", "0.064",
@@ -244,12 +253,11 @@ class TestErrorPaths:
         assert "4000000 points" in _stderr_record(capsys, 2)["message"]
 
     def test_auto_grid_with_evidence_beyond_float_range(self, tmp_path):
-        # log k_ME = 801.65: the closed-form sets that size the grid report
-        # k_ME = inf instead of overflowing
+        # log k_ME = 801.65: the closed-form sets that size the grid, and
+        # the engine, report k_ME = inf instead of overflowing
         args = ["normal", "--estimate", "-2", "--se", "0.0625",
                 "--prior", "global:m=3,v=0.0117", "--out", str(tmp_path)]
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(args) == 0
+        assert _main_without_warnings(args) == 0
         mee = _summary(tmp_path)["mee"]
         assert mee["k_me"] is None and mee["display"]["k_me"] == "inf"
         assert mee["log_k_me"] == pytest.approx(801.6537002043325, rel=1e-12)
@@ -360,6 +368,18 @@ class TestBinomial:
         (iv,) = rec["support_sets"][0]["intervals"]
         assert iv["lower"] == pytest.approx(0.50606, abs=2e-4)
         assert iv["upper"] == pytest.approx(0.50933, abs=2e-4)
+
+    def test_k_me_beyond_float_range_is_inf_without_warning(self, capsys, tmp_path):
+        # log k_ME is about 1.3e5: k_ME itself overflows a float
+        args = ["binomial", "--y", "35000", "--n", "350757",
+                "--prior", "truncbeta:a=5100,b=4900,l=0.5,u=1", "--grid", "0.05,0.2,301",
+                "--out", str(tmp_path)]
+        assert _main_without_warnings(args) == 0
+        assert capsys.readouterr().err == ""
+        mee = _summary(tmp_path)["mee"]
+        assert mee["log_k_me"] > 1e5
+        assert mee["k_me"] is None
+        assert mee["display"]["k_me"] == "inf"
 
     def test_requires_truncbeta_prior(self, capsys):
         assert main(["binomial", "--y", "3", "--n", "10",

@@ -5,17 +5,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy import stats
 
 from bff import (
+    BffCurve,
     BffModel,
     ContractError,
     DensityFn,
     DomainError,
     GridSpec,
+    MeeResult,
     NumericalError,
     analyze,
     combine_sequential,
@@ -28,7 +30,7 @@ from bff import (
     support_set,
     universal_bound_pvalue,
 )
-from bff.engine import MAX_GRID_POINTS
+from bff.engine import MAX_GRID_POINTS, _boundary_is_artificial, _support_region
 from bff.normal import (
     GlobalNormalPrior,
     LocalNormalPrior,
@@ -408,12 +410,18 @@ class TestAnalyze:
         ks = (math.exp(-0.5), math.exp(-0.8))
         curve, mee, supports = analyze(model, grid, ks)
         assert calls[0] == (1201,)
-        batches = [c for c in calls[1:] if c != ()]
+        # the MEE is refined before the levels are bisected
+        split = calls.index((8,))
+        golden, batches = calls[1:split], calls[split:]
+        # both grid maxima refine together, one probe each per call: two
+        # starting calls and about 25 steps from 0.01 wide to 6e-8, where
+        # one bracket at a time would take twice as many calls
+        assert all(c == (2,) for c in golden)
+        assert 20 <= len(golden) <= 30
         # two levels with two intervals each: eight crossings per step, and
         # bisection from a 0.005-wide bracket to 6e-10 takes 23 steps
-        assert batches[0] == (8,)
         assert 20 <= len(batches) <= 26
-        assert all(c[0] <= 8 for c in batches)
+        assert all(len(c) == 1 and c[0] <= 8 for c in batches)
         assert [len(s.intervals) for s in supports] == [2, 2]
         for k, s in zip(ks, supports):
             lone = support_set(model, k, grid)
@@ -509,6 +517,300 @@ class TestAnalyze:
         for k, s in zip(ks, supports):
             if k <= mee.k_me:
                 assert any(iv.lower <= mee.theta_hat[0] <= iv.upper for iv in s.intervals)
+
+
+# Reference implementations: the MEE refinement and the contouring as the
+# engine did them one bracket and one cell at a time, before both moved
+# onto arrays.  The array versions must reproduce them bit for bit.
+
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+
+
+def _is_local_max(vals: np.ndarray, i: int) -> bool:
+    left = vals[i - 1] if i > 0 else -np.inf
+    right = vals[i + 1] if i < len(vals) - 1 else -np.inf
+    return np.isfinite(vals[i]) and vals[i] >= left and vals[i] >= right
+
+
+def _golden_max(f, a: float, b: float, tol: float):
+    """Golden-section maximization on [a, b]; returns (x, f(x))."""
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+    if f1 >= f2:
+        return x1, f1
+    return x2, f2
+
+
+def _reference_find_mee_1d(model, grid):
+    """The 1-D MEE search with one golden section per grid maximum; the
+    model is called on one-point arrays, as the engine calls it."""
+    curve = evaluate_curve(model, grid)
+    xs = curve.axes[0]
+    vals = curve.log_bf
+    finite = np.isfinite(vals)
+    if not finite.any():
+        raise NumericalError("log BF01 is not finite anywhere on the search grid")
+    masked = np.where(finite, vals, -np.inf)
+    n = len(xs)
+    step = xs[1] - xs[0]
+    tol = 1e-8 * (grid.upper[0] - grid.lower[0])
+    f = lambda x: float(model.log_bff(np.array([x]))[0])
+
+    # refine every grid-local maximum; the global one wins
+    candidates = [i for i in range(n) if _is_local_max(masked, i)]
+    i_star = int(np.argmax(masked))
+    if i_star not in candidates:
+        candidates.append(i_star)
+    x_hat, f_hat = float(xs[i_star]), float(masked[i_star])
+    for i in candidates:
+        lo = xs[max(i - 1, 0)]
+        hi = xs[min(i + 1, n - 1)]
+        x_ref, f_ref = _golden_max(f, float(lo), float(hi), tol)
+        if f_ref > f_hat:
+            x_hat, f_hat = x_ref, f_ref
+
+    for side, edge in (("lower", float(xs[0])), ("upper", float(xs[-1]))):
+        near = abs(x_hat - edge) <= step
+        if not near:
+            continue
+        h = max(tol, 1e-7 * (grid.upper[0] - grid.lower[0]))
+        inward = edge + h if side == "lower" else edge - h
+        climbing = f(edge) > f(inward)
+        if climbing and _boundary_is_artificial(model, 0, side, edge):
+            return MeeResult(
+                exists=False,
+                theta_hat=None,
+                k_me=None,
+                log_k_me=None,
+                boundary=True,
+                diagnostic=(
+                    f"log BF01 is still increasing at the {side} search boundary "
+                    f"{edge:g}; no maximum evidence estimate in the searched region"
+                ),
+            )
+    return MeeResult(
+        exists=True,
+        theta_hat=(float(x_hat),),
+        k_me=float(np.exp(f_hat)),
+        log_k_me=float(f_hat),
+        boundary=False,
+    )
+
+
+def _reference_support_region(curve: BffCurve, k: float):
+    t_ax, u_ax = curve.axes
+    g = curve.log_bf - math.log(k)
+    g = np.where(np.isnan(g), -np.inf, g)
+    mask = g >= 0.0
+
+    def interp(x1, x2, v1, v2):
+        if v1 == v2:
+            return 0.5 * (x1 + x2)
+        w = v1 / (v1 - v2)
+        return x1 + w * (x2 - x1)
+
+    segments = []
+    for i in range(len(t_ax) - 1):
+        for j in range(len(u_ax) - 1):
+            corners = (g[i, j], g[i + 1, j], g[i + 1, j + 1], g[i, j + 1])
+            if not all(np.isfinite(c) or c == -np.inf for c in corners):
+                continue
+            signs = [c >= 0.0 for c in corners]
+            if all(signs) or not any(signs):
+                continue
+            x_lo, x_hi = t_ax[i], t_ax[i + 1]
+            y_lo, y_hi = u_ax[j], u_ax[j + 1]
+            pts = []
+            # edge (i,j)-(i+1,j)
+            if signs[0] != signs[1] and np.isfinite(corners[0]) and np.isfinite(corners[1]):
+                pts.append((interp(x_lo, x_hi, corners[0], corners[1]), y_lo))
+            # edge (i+1,j)-(i+1,j+1)
+            if signs[1] != signs[2] and np.isfinite(corners[1]) and np.isfinite(corners[2]):
+                pts.append((x_hi, interp(y_lo, y_hi, corners[1], corners[2])))
+            # edge (i,j+1)-(i+1,j+1)
+            if signs[3] != signs[2] and np.isfinite(corners[3]) and np.isfinite(corners[2]):
+                pts.append((interp(x_lo, x_hi, corners[3], corners[2]), y_hi))
+            # edge (i,j)-(i,j+1)
+            if signs[0] != signs[3] and np.isfinite(corners[0]) and np.isfinite(corners[3]):
+                pts.append((x_lo, interp(y_lo, y_hi, corners[0], corners[3])))
+            if len(pts) >= 2:
+                segments.append((pts[0], pts[1]))
+            if len(pts) == 4:
+                segments.append((pts[2], pts[3]))
+    return mask, segments
+
+
+def _outcome(fn):
+    """repr of fn's result (exact for floats, and -0.0 apart from 0.0), or
+    the type and message of what it raised."""
+    try:
+        return repr(fn())
+    except NumericalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _segment_bits(segments):
+    return np.array(segments, dtype=float).reshape(-1, 4).view(np.uint64)
+
+
+_bump = st.tuples(
+    # centre, as a fraction of the grid range: inside, outside or on an edge
+    st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])),
+    st.floats(-2.0, 2.0),             # height
+    st.floats(0.1, 400.0),            # curvature, per squared grid range
+)
+
+
+class TestArrayRefinement:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lower=st.floats(-5.0, 5.0),
+        span=st.floats(0.01, 20.0),
+        points=st.integers(3, 60),
+        bumps=st.lists(_bump, min_size=1, max_size=5),
+        cap=st.one_of(st.none(), st.floats(-1.0, 2.0)),
+        hole=st.one_of(st.none(), st.tuples(st.floats(-0.2, 1.2), st.floats(0.0, 0.6))),
+        closed=st.tuples(st.booleans(), st.booleans()),
+    )
+    def test_find_mee_matches_one_bracket_reference(self, lower, span, points, bumps, cap,
+                                                    hole, closed):
+        upper = lower + span
+
+        def log_bff(x):
+            u = (np.asarray(x, dtype=float) - lower) / span
+            f = np.max([h - c * (u - m) ** 2 for m, h, c in bumps], axis=0)
+            if cap is not None:
+                # a plateau: golden probes tie across it
+                f = np.minimum(f, cap)
+            if hole is not None:
+                f = np.where((u > hole[0]) & (u < hole[0] + hole[1]), np.nan, f)
+            return f
+
+        model = BffModel(
+            log_bff=log_bff,
+            lower=(lower if closed[0] else -math.inf,),
+            upper=(upper if closed[1] else math.inf,),
+            descriptor="bumps",
+        )
+        grid = GridSpec.one_dim(lower, upper, points)
+        assert _outcome(lambda: find_mee(model, grid)) == _outcome(
+            lambda: _reference_find_mee_1d(model, grid)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(-3.0, 3.0),
+                # +-1 fields are full of saddle cells
+                st.sampled_from([-1.0, 1.0, 0.0, -0.0, math.nan, math.inf, -math.inf]),
+            ),
+            min_size=4, max_size=90,
+        ),
+        rows=st.integers(2, 9),
+        k=st.sampled_from([1.0, math.exp(0.5), 0.3]),
+        lower=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    )
+    @example(values=[1.0, -1.0, -1.0, 1.0, 1.0, -1.0], rows=2, k=1.0, lower=(0.0, 0.0))
+    def test_support_region_matches_per_cell_reference(self, values, rows, k, lower):
+        cols = len(values) // rows
+        assume(cols >= 2)
+        field = np.array(values[: rows * cols]).reshape(rows, cols)
+        axes = (np.linspace(lower[0], lower[0] + 1.0, rows), np.linspace(lower[1], lower[1] + 0.5, cols))
+        curve = BffCurve(axes=axes, log_bf=field, descriptor="field")
+        mask, segments = _support_region(curve, k)
+        want_mask, want_segments = _reference_support_region(curve, k)
+        assert np.array_equal(mask, want_mask)
+        assert np.array_equal(_segment_bits(segments), _segment_bits(want_segments))
+
+    def test_saddle_cell_gives_two_segments_in_edge_order(self):
+        # corners (i, j), (i+1, j), (i+1, j+1), (i, j+1) = 1, -1, 1, -1
+        curve = BffCurve(
+            axes=(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+            log_bf=np.array([[1.0, -1.0], [-1.0, 1.0]]),
+            descriptor="saddle",
+        )
+        _, segments = _support_region(curve, 1.0)
+        assert segments == [((0.5, 0.0), (1.0, 0.5)), ((0.5, 1.0), (0.0, 0.5))]
+
+
+class _ScalarCall(Exception):
+    pass
+
+
+def _arrays_only(f, dim):
+    """A log_bff that refuses a 0-d value (dim 1) or a bare length-2 point
+    (dim 2): the engine passes 1-D and (2, N) arrays only."""
+
+    def log_bff(x):
+        if np.ndim(x) != dim or (dim == 2 and np.shape(x)[0] != 2):
+            raise _ScalarCall(f"called on shape {np.shape(x)}")
+        return f(x)
+
+    return log_bff
+
+
+class TestArrayContract:
+    def test_one_dim_refinement_and_boundary_climb(self):
+        bimodal = BffModel(log_bff=_arrays_only(_bimodal, 1), lower=(-math.inf,),
+                           upper=(math.inf,), descriptor="bimodal")
+        grid = GridSpec.one_dim(-3.0, 3.0, points=301)
+        _, mee, (s,) = analyze(bimodal, grid, (math.exp(-0.5),))
+        assert mee == find_mee(bimodal, grid)
+        assert mee.theta_hat[0] == pytest.approx(1.0, abs=1e-6)
+        assert s == support_set(bimodal, math.exp(-0.5), grid)
+        # the maximum sits on the lower edge, and the curve climbs out of it
+        decay = BffModel(log_bff=_arrays_only(lambda x: -x, 1), lower=(-math.inf,),
+                         upper=(math.inf,), descriptor="decay-open")
+        edge = find_mee(decay, GridSpec.one_dim(0.0, 5.0, points=41))
+        assert edge.boundary and "lower" in edge.diagnostic
+
+    def test_two_dim_nelder_mead_and_edge_checks(self):
+        bump = BffModel(
+            log_bff=_arrays_only(lambda p: 0.4 - 25.0 * (p[0] - 0.3) ** 2 - 12.5 * (p[1] - 0.7) ** 2, 2),
+            lower=(0.0, 0.0), upper=(1.5, 1.5), descriptor="bump2", dim=2,
+        )
+        grid = GridSpec.two_dim((0.0, 0.0), (1.5, 1.5), (41, 41))
+        _, mee, (region,) = analyze(bump, grid, (1.0,))
+        assert mee == find_mee(bump, grid)
+        assert mee.theta_hat == pytest.approx((0.3, 0.7), abs=1e-6)
+        mask, segments = support_region(bump, 1.0, grid)
+        assert np.array_equal(mask, region[0]) and segments == region[1] and segments
+        ramp = BffModel(
+            log_bff=_arrays_only(lambda p: p[0] + p[1], 2), lower=(-math.inf, -math.inf),
+            upper=(math.inf, math.inf), descriptor="ramp2", dim=2,
+        )
+        assert find_mee(ramp, GridSpec.two_dim((0.0, 0.0), (1.0, 1.0), (11, 11))).boundary
+
+    def test_numerical_error_names_the_point(self):
+        def fragile(x):
+            if np.any(x > 0.5):
+                raise NumericalError("overflow in tail mass")
+            return -(x**2)
+
+        def fragile2(p):
+            if np.any(p[0] > 0.5):
+                raise NumericalError("overflow in tail mass")
+            return -(p[0] ** 2)
+
+        one = BffModel(log_bff=_arrays_only(fragile, 1), lower=(-math.inf,), upper=(math.inf,),
+                       descriptor="fragile")
+        with pytest.raises(NumericalError, match=r"at grid point 0\.75\)"):
+            analyze(one, GridSpec.one_dim(0.0, 1.0, points=5), (0.5,))
+        two = BffModel(log_bff=_arrays_only(fragile2, 2), lower=(0.0, 0.0), upper=(1.0, 1.0),
+                       descriptor="fragile2", dim=2)
+        with pytest.raises(NumericalError, match=r"at grid point \(0\.75, 0\.0\)"):
+            find_mee(two, GridSpec.two_dim((0.0, 0.0), (1.0, 1.0), (5, 3)))
 
 
 def _uniform_hole_prior():
