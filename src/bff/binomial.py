@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import BffModel, DensityFn
+from .engine import BffModel
 from .errors import DomainError
 from .quadrature import log_integrate
 from .specfun import log_beta, log_trunc_beta_mass
@@ -62,16 +62,6 @@ class TruncBetaPrior:
         out = left + right - log_beta(self.a, self.b) - self.log_mass
         out = np.where((t < self.l) | (t > self.u), -np.inf, out)
         return float(out) if np.ndim(theta) == 0 else out
-
-    def density_fn(self) -> DensityFn:
-        return DensityFn(
-            log_density=self.log_density,
-            lower=self.l,
-            upper=self.u,
-            descriptor=self.describe(),
-            proper=True,
-            local=False,
-        )
 
     def describe(self) -> str:
         return f"trunc-beta(a={self.a:g}, b={self.b:g}, l={self.l:g}, u={self.u:g})"

@@ -28,7 +28,13 @@ from scipy.special import expit
 
 from .engine import BffModel, DensityFn, savage_dickey_bff
 from .errors import ContractError, DomainError, NumericalError
-from .normal import GlobalNormalPrior, NormalSummary, global_prior_density, normal_bff
+from .normal import (
+    GlobalNormalPrior,
+    NormalSummary,
+    _gaussian_density,
+    global_prior_density,
+    normal_bff,
+)
 
 __all__ = [
     "GlmDataset",
@@ -320,19 +326,9 @@ def laplace_marginal_posterior(fit: MapFit, j: int, name: str = "") -> DensityFn
     if var <= 0.0:
         raise NumericalError(f"nonpositive marginal variance for coefficient {j}")
     mean = float(fit.mode[j])
-    from .specfun import normal_log_density
-
-    def log_density(b):
-        return normal_log_density(b, mean, var)
-
     label = name or f"coef{j}"
-    return DensityFn(
-        log_density=log_density,
-        lower=-math.inf,
-        upper=math.inf,
-        descriptor=f"laplace-posterior[{label}](mean={mean:.4g}, sd={math.sqrt(var):.4g})",
-        proper=True,
-        local=False,
+    return _gaussian_density(
+        mean, var, f"laplace-posterior[{label}](mean={mean:.4g}, sd={math.sqrt(var):.4g})"
     )
 
 
@@ -475,8 +471,6 @@ def kde_density(sample, descriptor: str = "kde-posterior") -> DensityFn:
         lower=lo,
         upper=hi,
         descriptor=f"{descriptor}(n={n}, h={h:.4g})",
-        proper=True,
-        local=False,
     )
 
 

@@ -27,7 +27,7 @@ from .engine import BffModel
 from .errors import DomainError
 from .normal import GlobalNormalPrior
 from .quadrature import log_integrate, log_integrate_many
-from .specfun import half_normal_log_density
+from .specfun import half_normal_log_density, normal_log_density
 
 __all__ = [
     "MetaDataset",
@@ -120,8 +120,6 @@ class MetaPriors:
         p = self.theta_prior
         if isinstance(p, TruncBetaPrior):
             return p.log_density(theta)
-        from .specfun import normal_log_density
-
         return normal_log_density(theta, p.m, p.v)
 
     @property

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,7 +42,7 @@ __all__ = [
 ]
 
 # two-sided 95% normal quantile, used for HPD intervals
-_Z_95 = 1.959964
+_Z_95 = NormalDist().inv_cdf(0.975)
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,9 @@ def normal_bff(data: NormalSummary, prior: NormalPrior) -> BffModel:
         const = 0.5 * math.log1p(v / s2) + (y - m) ** 2 / (2.0 * (s2 + v))
 
         def log_bff(theta0):
-            t = np.asarray(theta0, dtype=float)
-            return -((y - t) ** 2) / (2.0 * s2) + const
+            # d * d, not d ** 2: a 0-d power is libm pow, an array one a square
+            d = y - np.asarray(theta0, dtype=float)
+            return -(d * d) / (2.0 * s2) + const
 
     elif isinstance(prior, LocalNormalPrior):
         v = prior.v
@@ -124,8 +126,8 @@ def normal_bff(data: NormalSummary, prior: NormalPrior) -> BffModel:
         denom = 2.0 * s2 * (1.0 + s2 / v)
 
         def log_bff(theta0):
-            t = np.asarray(theta0, dtype=float)
-            return -((y - t) ** 2) / denom + const
+            d = y - np.asarray(theta0, dtype=float)
+            return -(d * d) / denom + const
 
     elif isinstance(prior, PointShiftPrior):
         d = prior.d
@@ -207,22 +209,20 @@ def normal_closed_summaries(data: NormalSummary, prior: NormalPrior, k: float):
     return mee, support
 
 
-def global_prior_density(m: float, v: float) -> DensityFn:
-    """N(m, v) as a DensityFn, usable as a Savage-Dickey prior."""
-    if not (v > 0.0 and math.isfinite(v)):
-        raise DomainError(f"variance must be positive and finite, got {v!r}")
+def _gaussian_density(mean: float, var: float, descriptor: str) -> DensityFn:
+    """N(mean, var) on the whole real line as a DensityFn."""
+    if not (var > 0.0 and math.isfinite(var)):
+        raise DomainError(f"variance must be positive and finite, got {var!r}")
 
     def log_density(theta):
-        return normal_log_density(theta, m, v)
+        return normal_log_density(theta, mean, var)
 
-    return DensityFn(
-        log_density=log_density,
-        lower=-math.inf,
-        upper=math.inf,
-        descriptor=f"normal(m={m:g}, v={v:g})",
-        proper=True,
-        local=False,
-    )
+    return DensityFn(log_density=log_density, lower=-math.inf, upper=math.inf, descriptor=descriptor)
+
+
+def global_prior_density(m: float, v: float) -> DensityFn:
+    """N(m, v) as a DensityFn, usable as a Savage-Dickey prior."""
+    return _gaussian_density(m, v, f"normal(m={m:g}, v={v:g})")
 
 
 def _posterior_moments(y: float, s2: float, m: float, v: float):
@@ -235,18 +235,7 @@ def conjugate_posterior_density(data: NormalSummary, prior: GlobalNormalPrior) -
     """Posterior of theta after observing y ~ N(theta, sigma^2) with an
     N(m, v) prior; normal with precision-weighted mean."""
     mu, w = _posterior_moments(data.y, data.sigma**2, prior.m, prior.v)
-
-    def log_density(theta):
-        return normal_log_density(theta, mu, w)
-
-    return DensityFn(
-        log_density=log_density,
-        lower=-math.inf,
-        upper=math.inf,
-        descriptor=f"posterior-normal(mean={mu:g}, var={w:g})",
-        proper=True,
-        local=False,
-    )
+    return _gaussian_density(mu, w, f"posterior-normal(mean={mu:g}, var={w:g})")
 
 
 @dataclass(frozen=True)

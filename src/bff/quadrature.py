@@ -40,6 +40,10 @@ _SUBSCAN = np.linspace(0.0, 1.0, 17)
 _DROP_STEPS = 1e-14 * 2.0 ** np.arange(47)
 # geometric cell edges around the peak: width * 4^k, k = 0..24
 _CELL_STEPS = 4.0 ** np.arange(25)
+# a cell this many ulp of its midpoint wide is at floating-point
+# resolution: its nodes round to a few dozen doubles, so its error
+# estimate is rounding jitter that splitting cannot reduce
+_RESOLUTION_ULPS = 64.0
 
 
 def _check_interval(a, b):
@@ -89,25 +93,27 @@ def _adapt(f, row, lo, hi, rows: int, tol_abs: float, tol_rel: float, max_interv
     error estimate in every row whose summed estimate still exceeds
     max(tol_abs, tol_rel * |integral|), the test each row meets on its
     own, until no row is left or a row has spent `max_intervals` splits.
+    A cell at floating-point resolution is never split, and the test
+    leaves out its estimate, which stays in the row's total estimate.
     Returns (values, error_estimates, converged) per row.
     """
     val, err = _gk15(f, row, lo, hi)
     splits = np.zeros(rows, dtype=int)
     while True:
+        mid = 0.5 * (lo + hi)
+        final = hi - lo <= _RESOLUTION_ULPS * np.abs(np.spacing(mid))
         total = np.bincount(row, val, rows)
         total_err = np.bincount(row, err, rows)
-        open_ = total_err > np.maximum(tol_abs, tol_rel * np.abs(total))
+        split_err = np.bincount(row, np.where(final, 0.0, err), rows)
+        open_ = split_err > np.maximum(tol_abs, tol_rel * np.abs(total))
         if not np.any(open_ & (splits < max_intervals)):
             return total, total_err, ~open_
-        order = np.lexsort((-err, row))
+        # per row, the splittable cell with the worst estimate comes first
+        order = np.lexsort((-err, final, row))
         worst = order[np.diff(row[order], prepend=-1) != 0]
         worst = worst[open_[row[worst]] & (splits[row[worst]] < max_intervals)]
         splits[row[worst]] += 1
-        mid = 0.5 * (lo[worst] + hi[worst])
-        # a cell at floating-point resolution cannot be split: accept it
-        flat = (mid <= lo[worst]) | (mid >= hi[worst])
-        err[worst[flat]] = 0.0
-        worst, mid = worst[~flat], mid[~flat]
+        mid = mid[worst]
         keep = np.bincount(worst, minlength=len(row)) == 0
         r2 = row[np.concatenate([worst, worst])]
         lo2, hi2 = np.concatenate([lo[worst], mid]), np.concatenate([mid, hi[worst]])
@@ -190,8 +196,10 @@ def log_integrate_many(
     evaluation uncovers a higher peak is rescaled and redone.
 
     Returns (log_values, relative_error_estimates), each of shape (rows,).
-    A row whose integrand is zero everywhere gives -inf; NaN anywhere
-    raises NumericalError.
+    A peak too narrow for doubles is cut down to cells at floating-point
+    resolution, and its row comes back with the estimate those cells
+    carry, which may exceed tol_rel.  A row whose integrand is zero
+    everywhere gives -inf; NaN anywhere raises NumericalError.
     """
     _check_interval(a, b)
     out, rel = np.full(rows, -math.inf), np.zeros(rows)

