@@ -18,7 +18,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Callable
 
 import numpy as np
@@ -226,7 +226,9 @@ def _write_curves(path: str, blocks, two_dim: bool):
 def _round2(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    return str(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    # 330 digits hold any finite double (at most 309 integer digits) to 0.01
+    return str(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP,
+                                         context=Context(prec=330)))
 
 
 def _display_interval(iv) -> str:
@@ -467,8 +469,11 @@ def _meta(cmd, cfg) -> int:
     w = 1.0 / (dataset.std_errors**2 + priors.tau_scale**2)
     center = float(np.sum(w * dataset.estimates) / np.sum(w))
     spread = max(float(np.std(dataset.estimates)), math.sqrt(1.0 / float(np.sum(w))))
-    lo, hi = priors.theta_support()
-    auto_theta = [max(lo, center - 10.0 * spread), min(hi, center + 10.0 * spread), points]
+    lo, hi = center - 10.0 * spread, center + 10.0 * spread
+    if isinstance(theta_prior, TruncBetaPrior):
+        # a truncated prior puts no mass outside [l, u]
+        lo, hi = max(lo, theta_prior.l), min(hi, theta_prior.u)
+    auto_theta = [lo, hi, points]
     tau_hi = 5.0 * max(priors.tau_scale, float(np.std(dataset.estimates)))
     theta_grid = cfg["theta_grid"] = cfg["theta_grid"] or auto_theta
     tau_grid = cfg["tau_grid"] = cfg["tau_grid"] or [0.0, tau_hi, points]

@@ -6,11 +6,16 @@ joint BFF tests H0: theta = theta0, tau = tau0; each marginal BFF tests
 one parameter with the other integrated out over its prior.  All three
 share a single H1 marginal likelihood, computed once and passed in.
 
-Nuisance integrals are batched: a marginal model integrates a whole
-grid of theta0 (or tau0) values in one `log_integrate_many` call, one
-row per point, and each node set of the denominator's outer tau
-integral gets one batched inner theta call.  `meta_loglik` works in
-fixed chunks of points, so its temporaries stay a few MB.
+For a fixed tau the log likelihood is a quadratic in theta, so the
+theta integrals run on per-tau sufficient statistics (c, W, mu) in
+O(1) per node instead of summing the K studies.  Under a global-normal
+prior the theta integral is closed form; under a truncated-beta prior
+it is one batched `log_integrate_many` call, one row per tau.  The H1
+denominator is then one tau quadrature, and the tau-marginal BFF is its
+integrand at tau0.  The theta-marginal BFF integrates tau for a whole
+grid of theta0 in one batched call, and the joint BFF reads
+`meta_loglik` directly, which works in fixed chunks of points so its
+temporaries stay a few MB.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .engine import BffModel
 from .errors import DomainError
 from .normal import GlobalNormalPrior
 from .quadrature import log_integrate, log_integrate_many
-from .specfun import half_normal_log_density, normal_log_density
+from .specfun import half_normal_log_density
 
 __all__ = [
     "MetaDataset",
@@ -35,7 +40,6 @@ __all__ = [
     "read_meta_csv",
     "meta_loglik",
     "meta_log_denominator",
-    "meta_log_denominator_mc",
     "meta_joint_bff",
     "meta_marginal_theta_bff",
     "meta_marginal_tau_bff",
@@ -107,21 +111,6 @@ class MetaPriors:
                 f"unsupported theta prior type {type(self.theta_prior).__name__}"
             )
 
-    def theta_support(self):
-        """Interval carrying the theta prior's mass, used as the inner
-        integration range."""
-        p = self.theta_prior
-        if isinstance(p, TruncBetaPrior):
-            return p.l, p.u
-        half = 10.0 * math.sqrt(p.v)
-        return p.m - half, p.m + half
-
-    def theta_log_density(self, theta):
-        p = self.theta_prior
-        if isinstance(p, TruncBetaPrior):
-            return p.log_density(theta)
-        return normal_log_density(theta, p.m, p.v)
-
     @property
     def tau_upper(self) -> float:
         # half-normal mass beyond 10 scales is ~1e-23
@@ -154,25 +143,70 @@ def meta_loglik(data: MetaDataset, theta, tau):
     return float(ll[0]) if th.ndim == 0 else ll.reshape(th.shape)
 
 
+def _tau_stats(data: MetaDataset, taus):
+    """Per-tau sufficient statistics (c, W, mu) of the likelihood in theta.
+
+    For a fixed tau the log likelihood is the quadratic
+    c - W (theta - mu)^2 / 2, with w_i = 1/(sigma_i^2 + tau^2), W = Sum w_i,
+    mu = Sum w_i y_i / W and c = -(Sum w_i (y_i - mu)^2 - Sum ln w_i
+    + K ln 2 pi) / 2.  The squares are taken around mu, not expanded, so
+    c keeps its digits when the studies agree closely.  taus is 1-D;
+    each row sums its K studies alone, so a tau gives the same bits in
+    any batch.
+    """
+    ta = np.asarray(taus, dtype=float)
+    c, big_w, mu = (np.empty(ta.size) for _ in range(3))
+    y, se2 = data.estimates, data.std_errors**2
+    for i in range(0, ta.size, _CHUNK):
+        w = 1.0 / (se2 + ta[i : i + _CHUNK, None] ** 2)
+        big_w[i : i + _CHUNK] = np.sum(w, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu[i : i + _CHUNK] = np.sum(w * y, axis=1) / big_w[i : i + _CHUNK]
+            dev2 = w * (y - mu[i : i + _CHUNK, None]) ** 2
+            c[i : i + _CHUNK] = np.sum(dev2 - np.log(w), axis=1)
+    # a tau whose square overflows leaves W = 0: zero likelihood, c = -inf
+    live = big_w > 0.0
+    c = np.where(live, -0.5 * (c + len(data) * math.log(2.0 * math.pi)), -math.inf)
+    return c, big_w, np.where(live, mu, 0.0)
+
+
+def _log_theta_integrals(data: MetaDataset, priors: MetaPriors, taus, tol_rel: float = 1e-9):
+    """ln Int L(theta, tau) p(theta) dtheta for every tau in the 1-D `taus`.
+
+    A global-normal prior integrates in closed form over the real line:
+    c + ln(2 pi / W)/2 + ln N(mu; m, v + 1/W).  A truncated-beta prior
+    takes one batched quadrature over [l, u], one row per tau, whose
+    integrand is the O(1) quadratic of `_tau_stats`.
+    """
+    c, big_w, mu = _tau_stats(data, taus)
+    p = priors.theta_prior
+    if isinstance(p, GlobalNormalPrior):
+        # the closed form above, with 1/W factored out of v + 1/W
+        wv = big_w * p.v
+        return c - 0.5 * np.log1p(wv) - 0.5 * big_w * (mu - p.m) ** 2 / (1.0 + wv)
+
+    def log_f(th, idx):
+        return c[idx, None] - 0.5 * big_w[idx, None] * (th - mu[idx, None]) ** 2 + p.log_density(th)
+
+    vals, _ = log_integrate_many(log_f, p.l, p.u, c.size, tol_rel=tol_rel, scan_points=129)
+    return vals
+
+
 def meta_log_denominator(
     data: MetaDataset, priors: MetaPriors, *, tol_rel: float = 1e-8
 ) -> float:
     """H1 log marginal likelihood, ln Int Int exp(loglik) p(theta) p(tau).
 
-    Nested adaptive quadrature in log space: theta inside over the
-    prior's support (one batched call for all outer nodes), tau outside
-    over [0, 10 tau_scale].  The log-space carrier keeps 1e5-scale log
+    Adaptive quadrature in log space over tau in [0, 10 tau_scale] of the
+    theta integral at each node (closed form, or one batched inner
+    quadrature per node set).  The log-space carrier keeps 1e5-scale log
     likelihoods representable.
     """
-    lo, hi = priors.theta_support()
 
     def outer(taus):
         ts = np.asarray(taus, dtype=float)
-        inner, _ = log_integrate_many(
-            lambda th, idx: meta_loglik(data, th, ts[idx, None]) + priors.theta_log_density(th),
-            lo, hi, ts.size, tol_rel=tol_rel,
-        )
-        return inner + half_normal_log_density(ts, priors.tau_scale)
+        return (_log_theta_integrals(data, priors, ts, tol_rel)
+                + half_normal_log_density(ts, priors.tau_scale))
 
     return log_integrate(outer, 0.0, priors.tau_upper, tol_rel=tol_rel, scan_points=65)
 
@@ -186,47 +220,6 @@ def _log_numerators(points, lo: float, hi: float, log_f):
     vals, _ = log_integrate_many(lambda x, idx: log_f(x, flat[idx, None]), lo, hi, flat.size,
                                  scan_points=129)
     return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
-
-
-def meta_log_denominator_mc(
-    data: MetaDataset,
-    priors: MetaPriors,
-    n_draws: int = 1_000_000,
-    seed: int = 1,
-    batch: int = 100_000,
-):
-    """Plain Monte Carlo estimate of the H1 log marginal likelihood.
-
-    Draws (theta, tau) from the priors and averages the likelihood.
-    Returns (log_estimate, se_log) where se_log is the delta-method
-    standard error of the log estimate.  Used as an independent check of
-    meta_log_denominator; prior sampling is deliberately naive.
-    """
-    if n_draws < 2:
-        raise DomainError("n_draws must be at least 2")
-    rng = np.random.default_rng(seed)
-    p = priors.theta_prior
-    lls = np.empty(n_draws)
-    done = 0
-    while done < n_draws:
-        m = min(batch, n_draws - done)
-        if isinstance(p, TruncBetaPrior):
-            from scipy.special import betainc, betaincinv
-
-            lo_q = betainc(p.a, p.b, p.l)
-            hi_q = betainc(p.a, p.b, p.u)
-            u = rng.uniform(lo_q, hi_q, size=m)
-            thetas = betaincinv(p.a, p.b, u)
-        else:
-            thetas = rng.normal(p.m, math.sqrt(p.v), size=m)
-        taus = np.abs(rng.normal(0.0, priors.tau_scale, size=m))
-        lls[done : done + m] = meta_loglik(data, thetas, taus)
-        done += m
-    shift = float(np.max(lls))
-    w = np.exp(lls - shift)
-    mean_w = float(np.mean(w))
-    se_log = float(np.std(w, ddof=1) / (math.sqrt(n_draws) * mean_w))
-    return shift + math.log(mean_w), se_log
 
 
 def meta_joint_bff(
@@ -285,15 +278,13 @@ def meta_marginal_tau_bff(
 ) -> BffModel:
     """1-D BFF for tau with theta integrated over its prior."""
     log_denom = meta_log_denominator(data, priors) if log_denominator is None else log_denominator
-    lo, hi = priors.theta_support()
-
-    def log_f(thetas, tau0):
-        return meta_loglik(data, thetas, tau0) + priors.theta_log_density(thetas)
 
     def log_bff(tau0):
-        if np.any(np.asarray(tau0) < 0.0):
+        arr = np.asarray(tau0, dtype=float)
+        if np.any(arr < 0.0):
             raise DomainError(f"tau0 must be nonnegative, got {tau0!r}")
-        return _log_numerators(tau0, lo, hi, log_f) - log_denom
+        vals = _log_theta_integrals(data, priors, arr.reshape(-1)) - log_denom
+        return float(vals[0]) if arr.ndim == 0 else vals.reshape(arr.shape)
 
     return BffModel(
         log_bff=log_bff,

@@ -29,7 +29,7 @@ from bff.binomial import (
 )
 from bff.datasets import load_coinflip_meta, load_neonatal_births
 from bff.glm import GlmPrior, glm_coefficient_bff, fit_map
-from bff.meta import MetaDataset, MetaPriors, meta_log_denominator, meta_log_denominator_mc
+from bff.meta import MetaDataset, MetaPriors, meta_log_denominator
 from bff.normal import (
     GlobalNormalPrior,
     LocalNormalPrior,
@@ -46,6 +46,7 @@ from bff.normal import (
     replication_posterior,
     replication_posterior_hpd,
 )
+from meta_mc import meta_log_denominator_mc
 
 RECOVERY = NormalSummary(-0.14, 0.064)
 

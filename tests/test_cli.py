@@ -10,13 +10,16 @@ import math
 import re
 import tracemalloc
 import warnings
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from bff import __version__
-from bff.cli import MAX_MC, main
+from bff.cli import MAX_MC, _round2, main
 from bff.engine import MAX_GRID_POINTS
 from bff.datasets import coinflip_meta_path, neonatal_births_path
 from bff.glm import GlmPrior, fit_map, read_glm_csv
@@ -270,6 +273,15 @@ class TestErrorPaths:
         assert mee["k_me"] is None and mee["display"]["k_me"] == "inf"
         assert mee["log_k_me"] == pytest.approx(801.6537002043325, rel=1e-12)
 
+    def test_k_me_beyond_decimal_default_precision(self, tmp_path):
+        # k_ME = 3.8e43 has 44 integer digits, more than Decimal's default 28
+        args = ["normal", "--estimate", "1", "--se", "0.1",
+                "--prior", "global:m=-1,v=0.01", "--out", str(tmp_path)]
+        assert _main_without_warnings(args) == 0
+        mee = _summary(tmp_path)["mee"]
+        assert mee["display"]["k_me"] == "38015717192039290000000000000000000000000000.00"
+        assert Decimal(mee["display"]["k_me"]) == Decimal(repr(mee["k_me"]))
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"estimate": 1.0, "se": 1.0,
@@ -338,6 +350,21 @@ class TestErrorPaths:
         assert main(args + ["--out", str(tmp_path)]) == 2
         assert args[-2] in _stderr_record(capsys, 2)["message"]
         assert not (tmp_path / "summary.json").exists()
+
+
+class TestRound2:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_finite_double(self, x):
+        text = _round2(x)
+        got, exact = Decimal(text), Decimal(repr(x))
+        assert got.as_tuple().exponent == -2
+        assert abs(got - exact) <= Decimal("0.005")
+        try:
+            # what the default 28-digit context could quantize stays byte-identical
+            before = str(exact.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+        except InvalidOperation:
+            return
+        assert text == before
 
 
 class TestHelp:
@@ -464,6 +491,20 @@ class TestMeta:
         assert main(["meta", "--data", str(meta_csv),
                      "--theta-prior", "local:v=1"]) == 2
         _stderr_record(capsys, 2)
+
+    def test_auto_theta_grid_follows_likelihood_outside_global_prior_box(self, tmp_path):
+        # the studies sit 30 prior sd above m: the auto grid once clipped
+        # to m + 10 sd = 0.1, below its own lower end
+        data = tmp_path / "far.csv"
+        data.write_text("id,estimate,se\na,0.30,0.01\nb,0.31,0.012\nc,0.29,0.009\nd,0.305,0.011\n")
+        out = tmp_path / "out"
+        args = ["meta", "--data", str(data), "--theta-prior", "global:m=0,v=0.0001",
+                "--tau-scale", "1e-6", "--mode", "theta", "--out", str(out)]
+        assert _main_without_warnings(args) == 0
+        rec = _summary(out)
+        lo, hi, _ = rec["config"]["theta_grid"]
+        assert lo < 0.3 < hi
+        assert lo < rec["mee"]["theta"][0] < hi
 
 
 class TestReplication:

@@ -1,25 +1,33 @@
-"""Random-effects meta-analysis tests: likelihood oracle, shared
+"""Random-effects meta-analysis tests: likelihood oracle, per-tau
+statistics against the nested quadrature they replaced, shared
 denominator, limiting collapses, and prior-scale sensitivity."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
 from bff import DomainError, GridSpec, find_mee
+from bff.binomial import TruncBetaPrior
 from bff.meta import (
     MetaDataset,
     MetaPriors,
+    _log_theta_integrals,
+    _tau_stats,
     meta_joint_bff,
     meta_log_denominator,
-    meta_log_denominator_mc,
     meta_loglik,
     meta_marginal_tau_bff,
     meta_marginal_theta_bff,
     read_meta_csv,
 )
 from bff.normal import GlobalNormalPrior, NormalSummary, normal_bff
+from bff.quadrature import log_integrate, log_integrate_many
+from bff.specfun import half_normal_log_density, normal_log_density
+from meta_mc import meta_log_denominator_mc
 
 
 def _dataset(estimates, std_errors):
@@ -84,8 +92,6 @@ class TestDenominator:
         assert abs(quad - mc) <= 3 * se
 
     def test_monte_carlo_agreement_truncbeta_prior(self):
-        from bff.binomial import TruncBetaPrior
-
         data = _dataset([0.52, 0.505, 0.51, 0.515], [0.01, 0.012, 0.009, 0.011])
         priors = MetaPriors(TruncBetaPrior(40.0, 40.0, 0.5, 1.0), tau_scale=0.02)
         quad = meta_log_denominator(data, priors)
@@ -139,6 +145,14 @@ class TestLimits:
         res = find_mee(model, GridSpec.one_dim(0.0, 0.08, points=161))
         assert res.exists and not res.boundary
         assert res.theta_hat[0] < 0.005
+
+    @pytest.mark.parametrize("prior", [GlobalNormalPrior(0.3, 0.04), TruncBetaPrior(30.0, 70.0, 0.1, 0.6)],
+                             ids=["global", "truncbeta"])
+    def test_tau_whose_square_overflows_has_zero_likelihood(self, prior):
+        model = meta_marginal_tau_bff(SMALL, MetaPriors(prior, tau_scale=0.02), log_denominator=0.0)
+        with np.errstate(over="ignore"):
+            vals = model.log_bff(np.array([0.02, 1e200]))
+        assert math.isfinite(vals[0]) and vals[1] == -math.inf
 
     def test_negative_tau_is_an_error_not_nan(self):
         priors = MetaPriors(GlobalNormalPrior(0.3, 0.04), tau_scale=0.02)
@@ -225,7 +239,6 @@ class TestBatchedMarginals:
 
     @pytest.fixture(scope="class")
     def coinflip(self):
-        from bff.binomial import TruncBetaPrior
         from bff.datasets import load_coinflip_meta
 
         data = load_coinflip_meta()
@@ -259,6 +272,167 @@ class TestBatchedMarginals:
                         + stats.beta.logpdf(theta, self.A, self.B) - log_mass)
 
             assert got == pytest.approx(_oracle_log_integral(log_g, 0.5, 1.0), abs=1e-8)
+
+
+def _nested_theta_box(priors):
+    p = priors.theta_prior
+    if isinstance(p, TruncBetaPrior):
+        return p.l, p.u
+    return p.m - 10.0 * math.sqrt(p.v), p.m + 10.0 * math.sqrt(p.v)
+
+
+def _nested_log_integrand(data, priors, th, taus):
+    p = priors.theta_prior
+    log_prior = (p.log_density(th) if isinstance(p, TruncBetaPrior)
+                 else normal_log_density(th, p.m, p.v))
+    return meta_loglik(data, th, taus) + log_prior
+
+
+def _nested_log_denominator(data, priors, tol_rel=1e-8):
+    """The nested quadrature that per-tau statistics replaced: a batched
+    theta quadrature of `meta_loglik` at every outer tau node.  It cuts a
+    global prior at m +- 10 sd, so it is a reference only while the
+    likelihood lies inside that box."""
+    lo, hi = _nested_theta_box(priors)
+
+    def outer(taus):
+        ts = np.asarray(taus, dtype=float)
+        inner, _ = log_integrate_many(
+            lambda th, idx: _nested_log_integrand(data, priors, th, ts[idx, None]),
+            lo, hi, ts.size, tol_rel=tol_rel,
+        )
+        return inner + half_normal_log_density(ts, priors.tau_scale)
+
+    return log_integrate(outer, 0.0, priors.tau_upper, tol_rel=tol_rel, scan_points=65)
+
+
+def _nested_log_numerators(data, priors, taus):
+    """The tau-marginal numerators as the nested path computed them."""
+    lo, hi = _nested_theta_box(priors)
+    ts = np.asarray(taus, dtype=float)
+    vals, _ = log_integrate_many(
+        lambda th, idx: _nested_log_integrand(data, priors, th, ts[idx, None]),
+        lo, hi, ts.size, scan_points=129,
+    )
+    return vals
+
+
+def _acceptance11_tables():
+    """The five synthetic tables and global priors of acceptance 11."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(5):
+        n_st = int(rng.integers(3, 9))
+        ests = 0.3 + 0.05 * rng.standard_normal(n_st)
+        ses = rng.uniform(0.005, 0.05, size=n_st)
+        priors = MetaPriors(
+            GlobalNormalPrior(float(rng.uniform(0.25, 0.35)), float(rng.uniform(0.001, 0.01))),
+            tau_scale=float(rng.uniform(0.005, 0.04)),
+        )
+        cases.append((_dataset(ests, ses), priors))
+    return cases
+
+
+def _mvn_log_marginal(data, prior, tau):
+    """ln Int prod_i N(y_i; theta, s_i^2 + tau^2) N(theta; m, v) dtheta as
+    the joint normal law of y: mean m, covariance diag(s^2 + tau^2) + v."""
+    cov = np.diag(data.std_errors**2 + tau**2) + prior.v
+    return float(stats.multivariate_normal.logpdf(data.estimates, np.full(len(data), prior.m), cov))
+
+
+# four studies near 0.3 under a global prior N(0, 1e-4): the likelihood
+# lies 30 prior sd away, outside the old m +- 10 sd integration box
+FAR = _dataset([0.30, 0.31, 0.29, 0.305], [0.01, 0.012, 0.009, 0.011])
+FAR_PRIOR = GlobalNormalPrior(0.0, 1e-4)
+
+
+def _close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.all(np.abs(got - want) <= 1e-10 + 1e-14 * np.abs(want))
+
+
+class TestPerTauStatistics:
+    """The theta integral on per-tau statistics (c, W, mu) against the
+    nested quadrature of `meta_loglik` it replaced, and the closed form
+    under a global-normal prior against independent oracles."""
+
+    TAUS = np.linspace(0.0, 0.08, 33)
+
+    def test_bundled_table_matches_nested_path(self, coinflip_meta_results):
+        data, priors = coinflip_meta_results["data"], coinflip_meta_results["priors"]
+        assert _close(meta_log_denominator(data, priors), _nested_log_denominator(data, priors))
+        numerators = meta_marginal_tau_bff(data, priors, log_denominator=0.0).log_bff(self.TAUS)
+        assert _close(numerators, _nested_log_numerators(data, priors, self.TAUS))
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_acceptance11_tables_match_nested_path(self, case):
+        data, priors = _acceptance11_tables()[case]
+        assert _close(meta_log_denominator(data, priors), _nested_log_denominator(data, priors))
+        numerators = meta_marginal_tau_bff(data, priors, log_denominator=0.0).log_bff(self.TAUS)
+        assert _close(numerators, _nested_log_numerators(data, priors, self.TAUS))
+
+    @pytest.mark.parametrize("prior", [GlobalNormalPrior(0.3, 0.04), TruncBetaPrior(30.0, 70.0, 0.1, 0.6)],
+                             ids=["global", "truncbeta"])
+    def test_both_prior_kinds_match_nested_path(self, prior):
+        priors = MetaPriors(prior, tau_scale=0.05)
+        assert _close(meta_log_denominator(SMALL, priors), _nested_log_denominator(SMALL, priors))
+        taus = np.linspace(0.0, 0.3, 13)
+        numerators = meta_marginal_tau_bff(SMALL, priors, log_denominator=0.0).log_bff(taus)
+        assert _close(numerators, _nested_log_numerators(SMALL, priors, taus))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_quadratic_in_theta_equals_loglik(self, draw):
+        k = draw.draw(st.integers(2, 60))
+        finite = dict(allow_nan=False, allow_infinity=False)
+        ys = draw.draw(st.lists(st.floats(-1.0, 1.0, **finite), min_size=k, max_size=k))
+        ses = draw.draw(st.lists(st.floats(1e-3, 1.0, **finite), min_size=k, max_size=k))
+        tau = draw.draw(st.floats(0.0, 1.0, **finite))
+        theta = draw.draw(st.floats(-5.0, 5.0, **finite))
+        data = _dataset(ys, ses)
+        c, big_w, mu = _tau_stats(data, np.array([tau]))
+        got = float(c[0] - 0.5 * big_w[0] * (theta - mu[0]) ** 2)
+        want = meta_loglik(data, theta, tau)
+        # each study adds a term of order one, so K sets the scale near zero
+        assert abs(got - want) <= 1e-12 * max(abs(want), k)
+
+    @pytest.mark.parametrize("data, prior", [(SMALL, GlobalNormalPrior(0.3, 0.04)),
+                                             (HETERO, GlobalNormalPrior(0.25, 0.001)),
+                                             (FAR, FAR_PRIOR)], ids=["small", "hetero", "far"])
+    def test_closed_form_matches_quadrature_of_its_integrand(self, data, prior):
+        priors = MetaPriors(prior, tau_scale=0.02)
+        taus = np.array([0.0, 0.003, 0.02, 0.1, 1.0])
+        closed = _log_theta_integrals(data, priors, taus)
+        c, big_w, mu = _tau_stats(data, taus)
+        for i, tau in enumerate(taus):
+            def log_g(th):
+                return c[i] - 0.5 * big_w[i] * (th - mu[i]) ** 2 + normal_log_density(th, prior.m, prior.v)
+
+            # the posterior sd is below both the likelihood's and the prior's
+            post_mean = (big_w[i] * mu[i] + prior.m / prior.v) / (big_w[i] + 1.0 / prior.v)
+            half = 40.0 / math.sqrt(big_w[i] + 1.0 / prior.v)
+            quad = _oracle_log_integral(log_g, post_mean - half, post_mean + half)
+            assert abs(closed[i] - quad) <= 1e-10
+
+    @pytest.mark.parametrize("scale", [1e-6, 0.002])
+    def test_global_prior_far_from_likelihood(self, scale):
+        # the old m +- 10 sd box gave -790.14 (scale 1e-6) and -252.58
+        # (scale 0.002) here, hundreds of log units off
+        priors = MetaPriors(FAR_PRIOR, tau_scale=scale)
+
+        def log_g(tau):
+            taus = np.atleast_1d(tau)
+            vals = np.array([_mvn_log_marginal(FAR, FAR_PRIOR, float(t)) for t in taus])
+            vals = vals + stats.halfnorm.logpdf(taus, scale=scale)
+            return float(vals[0]) if np.ndim(tau) == 0 else vals
+
+        want = _oracle_log_integral(log_g, 0.0, 10.0 * scale)
+        assert want == pytest.approx(-341.84 if scale == 1e-6 else -240.18, abs=0.01)
+        assert meta_log_denominator(FAR, priors) == pytest.approx(want, abs=1e-8)
+        taus = np.array([0.0, scale, 3.0 * scale, 0.05])
+        numerators = meta_marginal_tau_bff(FAR, priors, log_denominator=0.0).log_bff(taus)
+        want = [_mvn_log_marginal(FAR, FAR_PRIOR, float(t)) for t in taus]
+        np.testing.assert_allclose(numerators, want, rtol=0.0, atol=1e-9)
 
 
 class TestCsv:
